@@ -1,8 +1,9 @@
 GO ?= go
 
 # Packages with benchmarks: the figure suite at the root, the event engine
-# microbenchmarks, and the observability hot-path (hooks-disabled overhead).
-BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/
+# microbenchmarks, the observability hot-path (hooks-disabled overhead), and
+# the per-layer request-path rungs (DIMM read miss, on-DIMM DRAM access).
+BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/nvdimm/ ./internal/dram/
 
 .PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
 

@@ -16,7 +16,7 @@ func chaseNs(t *testing.T, s mem.System, region uint64) float64 {
 	at := 0
 	for i := 0; i < 2*blocks; i++ {
 		accs = append(accs, mem.Access{Op: mem.OpRead, Addr: uint64(at) * 64, Size: 64})
-		at = perm[at]
+		at = int(perm[at])
 	}
 	lats := d.RunChain(accs)
 	half := len(lats) / 2

@@ -98,8 +98,13 @@ type Enc struct {
 	buf []byte
 }
 
-// Bytes returns the accumulated payload.
+// Bytes returns the accumulated payload. It aliases the encoder's buffer
+// until the next Reset.
 func (e *Enc) Bytes() []byte { return e.buf }
+
+// Reset empties the payload but keeps its buffer, so an encoder reused
+// across snapshots of one run grows only once.
+func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
 // Len returns the accumulated payload length.
 func (e *Enc) Len() int { return len(e.buf) }

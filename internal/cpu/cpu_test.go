@@ -191,7 +191,7 @@ func chaseWorkload(nodes, hops int, mkpt bool, seed uint64) *SliceWorkload {
 	w := &SliceWorkload{}
 	at := 0
 	for i := 0; i < hops; i++ {
-		next := perm[at]
+		next := int(perm[at])
 		w.Instrs = append(w.Instrs, Instr{
 			IsMem: true, IsLoad: true, DependsOnLoad: true,
 			Addr:     uint64(at) * 4096, // one node per page: TLB-hostile

@@ -1,0 +1,161 @@
+package dram
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// issueLog records the controller's per-access issue hooks: one
+// StageDRAM/PosIssue event per serviced access, emitted in service order,
+// at the column command's cycle with the data phase's length in Arg.
+type issueLog struct{ issued []obs.Event }
+
+func (l *issueLog) OnEvent(ev obs.Event) {
+	if ev.Stage == obs.StageDRAM && ev.Pos == obs.PosIssue {
+		l.issued = append(l.issued, ev)
+	}
+}
+
+// oracleAccess is one access of a randomized stream and what became of it.
+type oracleAccess struct {
+	addr   uint64
+	write  bool
+	bursts int
+	req    *mem.Request // non-nil: submitted through Submit
+	doneAt sim.Cycle
+}
+
+// TestCompletionsFireInServiceOrder is the oracle for the controller's
+// completion FIFO: randomized streams of 1-4-burst reads and writes over
+// every bank and rank, mixing the mem.Request and composed completion forms,
+// under FR-FCFS (so open-page service order differs from arrival order), with refresh
+// and closed-page each on and off. Every access must complete exactly once,
+// in the order the scheduler serviced it, at its own data-end cycle, and
+// data-end cycles must never decrease.
+func TestCompletionsFireInServiceOrder(t *testing.T) {
+	for _, refresh := range []bool{false, true} {
+		for _, closed := range []bool{false, true} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("refresh=%v/closed=%v/seed=%d", refresh, closed, seed)
+				t.Run(name, func(t *testing.T) { checkServiceOrder(t, refresh, closed, seed) })
+			}
+		}
+	}
+}
+
+func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
+	log := &issueLog{}
+	o := obs.New()
+	o.Attach(log)
+	cfg := DefaultConfig()
+	cfg.Policy = FRFCFS
+	cfg.RefreshEnabled = refresh
+	cfg.ClosedPage = closed
+	cfg.Obs = o
+	eng := sim.NewEngine()
+	c := NewController(eng, cfg)
+	g := c.cfg.Geometry
+
+	rng := sim.NewRNG(seed)
+	const n = 800
+	accs := make([]*oracleAccess, n)
+	byAddr := make(map[uint64]int, n)
+	var accepted, completions []int
+	for i := range accs {
+		// Few rows per bank, so row hits, misses and conflicts all occur;
+		// distinct addresses, so issue hooks map back to their access.
+		var addr uint64
+		for {
+			addr = g.UnmapAddr(Coord{
+				Rank:      rng.Intn(g.Ranks),
+				BankGroup: rng.Intn(g.BankGroups),
+				Bank:      rng.Intn(g.Banks),
+				Row:       rng.Uint64n(4),
+				Col:       rng.Uint64n(g.RowSize/256) * 256,
+			})
+			if _, dup := byAddr[addr]; !dup {
+				break
+			}
+		}
+		byAddr[addr] = i
+		a := &oracleAccess{addr: addr, write: rng.Intn(2) == 0, bursts: 1 + rng.Intn(4)}
+		if a.bursts == 1 && rng.Intn(2) == 0 {
+			a.req = &mem.Request{Op: mem.OpRead, Addr: addr, Size: 64, OnDone: func(*mem.Request) {
+				a.doneAt = eng.Now()
+				completions = append(completions, byAddr[a.addr])
+			}}
+			if a.write {
+				a.req.Op = mem.OpWrite
+			}
+		}
+		accs[i] = a
+	}
+	composedDone := func(arg any) {
+		a := arg.(*oracleAccess)
+		a.doneAt = eng.Now()
+		completions = append(completions, byAddr[a.addr])
+	}
+	var submit func(arg any)
+	submit = func(arg any) {
+		a := arg.(*oracleAccess)
+		var ok bool
+		if a.req != nil {
+			ok = c.Submit(a.req)
+		} else {
+			ok = c.ScheduleN(a.addr, a.write, a.bursts, composedDone, a)
+		}
+		if !ok {
+			eng.AfterFn(1+sim.Cycle(rng.Intn(8)), submit, a)
+			return
+		}
+		accepted = append(accepted, byAddr[a.addr])
+	}
+	// Bursty arrivals keep the queue deep enough for FR-FCFS to reorder.
+	at := sim.Cycle(0)
+	for _, a := range accs {
+		if rng.Intn(4) == 0 {
+			at += sim.Cycle(rng.Intn(200))
+		}
+		eng.ScheduleFn(at, submit, a)
+	}
+	eng.Run()
+
+	if len(completions) != n || len(log.issued) != n {
+		t.Fatalf("%d completions and %d issues for %d accesses", len(completions), len(log.issued), n)
+	}
+	if !c.Drained() {
+		t.Fatal("controller not drained")
+	}
+	reordered := false
+	var prevEnd sim.Cycle
+	for k, ev := range log.issued {
+		id, ok := byAddr[ev.Addr]
+		if !ok {
+			t.Fatalf("issue %d for unknown address %#x", k, ev.Addr)
+		}
+		if completions[k] != id {
+			t.Fatalf("completion %d is access %d, but the scheduler serviced access %d %d-th",
+				k, completions[k], id, k)
+		}
+		dataEnd := ev.Now + sim.Cycle(ev.Arg)
+		if accs[id].doneAt != dataEnd {
+			t.Fatalf("access %d completed at %d, its data phase ended at %d", id, accs[id].doneAt, dataEnd)
+		}
+		if dataEnd < prevEnd {
+			t.Fatalf("data end %d of service %d precedes the previous %d", dataEnd, k, prevEnd)
+		}
+		prevEnd = dataEnd
+		if id != accepted[k] {
+			reordered = true
+		}
+	}
+	// Closed-page leaves no row open for FR-FCFS to prefer, so only
+	// open-page streams are reordered.
+	if !closed && !reordered {
+		t.Fatal("FR-FCFS serviced every access in acceptance order; the oracle checks nothing")
+	}
+}

@@ -26,11 +26,16 @@ type rankState struct {
 	nextRefresh sim.Cycle
 }
 
-// pending is a queued request with its decoded coordinates. bursts is the
-// number of back-to-back column bursts the request occupies (1 for a 64B
-// access; an Optane AIT 256B sector access uses 4).
+// pending is a queued access with its decoded coordinates. bursts is the
+// number of back-to-back column bursts the access occupies (1 for a 64B
+// access; an Optane AIT 256B sector access uses 4). Exactly one completion
+// form is set: req for accesses submitted as mem.Requests, or the
+// (done, arg) continuation of a composed access (done may be nil).
 type pending struct {
 	req    *mem.Request
+	done   func(any)
+	arg    any
+	addr   uint64
 	coord  Coord
 	write  bool
 	bursts int
@@ -67,6 +72,14 @@ type Controller struct {
 
 	// cmds is the recorded command trace when cfg.TapCommands is set.
 	cmds []Cmd
+
+	// serviced holds the accesses whose commands have issued, in service
+	// order, until their data phase ends. Data phases are serialized on the
+	// bus — each access's data starts no earlier than busFree, which is at
+	// least every earlier access's data end — so completions fall due in
+	// service order and one FIFO drained by ctrlComplete replaces a closure
+	// per access.
+	serviced sim.Queue[pending]
 
 	inflight int
 	busy     bool
@@ -157,6 +170,7 @@ func (c *Controller) Submit(r *mem.Request) bool {
 	r.Issued = c.eng.Now()
 	c.queue.Push(pending{
 		req:    r,
+		addr:   r.Addr,
 		coord:  c.cfg.Geometry.MapAddr(r.Addr % c.cfg.Geometry.Capacity()),
 		write:  r.Op.IsWrite() || r.Op == mem.OpClwb,
 		bursts: 1,
@@ -167,32 +181,25 @@ func (c *Controller) Submit(r *mem.Request) bool {
 }
 
 // Schedule is the composition entry point: time one single-burst access at
-// addr and call done when its data completes. It bypasses mem.Request
-// bookkeeping.
-func (c *Controller) Schedule(addr uint64, write bool, done func()) bool {
-	return c.ScheduleN(addr, write, 1, done)
+// addr and call done(arg) when its data completes (done may be nil). It
+// bypasses mem.Request bookkeeping.
+func (c *Controller) Schedule(addr uint64, write bool, done func(any), arg any) bool {
+	return c.ScheduleN(addr, write, 1, done, arg)
 }
 
 // ScheduleN times one access of n back-to-back bursts (n*64 contiguous
-// bytes within one row) as a single queue entry.
-func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func()) bool {
+// bytes within one row) as a single queue entry, calling done(arg) when its
+// data completes. It reports false, with no side effect, when the queue is
+// full.
+func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func(any), arg any) bool {
 	if c.queue.Full() {
 		return false
 	}
 	if n < 1 {
 		n = 1
 	}
-	r := &mem.Request{Addr: addr, Size: uint32(n * 64), Issued: c.eng.Now(),
-		OnDone: func(*mem.Request) {
-			if done != nil {
-				done()
-			}
-		}}
-	if write {
-		r.Op = mem.OpWrite
-	}
-	c.queue.Push(pending{req: r, coord: c.cfg.Geometry.MapAddr(addr % c.cfg.Geometry.Capacity()),
-		write: write, bursts: n})
+	c.queue.Push(pending{done: done, arg: arg, addr: addr,
+		coord: c.cfg.Geometry.MapAddr(addr % c.cfg.Geometry.Capacity()), write: write, bursts: n})
 	c.inflight++
 	c.kick()
 	return true
@@ -213,6 +220,19 @@ func (c *Controller) completeWhenDrained(r *mem.Request) {
 // recurring callback form: the scheduler loop re-arms itself once per
 // request, so method-value closures here would allocate per access.
 func ctrlServiceNext(a any) { a.(*Controller).serviceNext() }
+
+// ctrlComplete fires at an access's data-end cycle and completes the oldest
+// serviced access, which is the one due (see Controller.serviced).
+func ctrlComplete(a any) {
+	c := a.(*Controller)
+	p, _ := c.serviced.Pop()
+	c.inflight--
+	if p.req != nil {
+		p.req.Complete(c.eng.Now())
+	} else if p.done != nil {
+		p.done(p.arg)
+	}
+}
 
 // kick schedules the scheduler loop if it is not already running.
 func (c *Controller) kick() {
@@ -320,9 +340,13 @@ func (c *Controller) serviceNext() {
 		}
 		c.emit(Cmd{At: actAt, Kind: CmdACT, Coord: p.coord})
 		rk.nextACT = actAt + t.TRRD
-		rk.lastACTs = append(rk.lastACTs, actAt)
-		if len(rk.lastACTs) > 4 {
-			rk.lastACTs = rk.lastACTs[1:]
+		// Slide the window in place: re-slicing off the front would walk
+		// the backing array forward and reallocate every few activates.
+		if len(rk.lastACTs) == 4 {
+			copy(rk.lastACTs, rk.lastACTs[1:])
+			rk.lastACTs[3] = actAt
+		} else {
+			rk.lastACTs = append(rk.lastACTs, actAt)
 		}
 		b.open = true
 		b.openRow = p.coord.Row
@@ -398,14 +422,11 @@ func (c *Controller) serviceNext() {
 	}
 	if c.o.Active() {
 		c.o.Emit(obs.Event{Now: rwAt, Stage: obs.StageDRAM, Pos: obs.PosIssue,
-			Write: p.write, Comp: c.comp, Addr: p.req.Addr, Arg: uint64(dataEnd - rwAt)})
+			Write: p.write, Comp: c.comp, Addr: p.addr, Arg: uint64(dataEnd - rwAt)})
 	}
 
-	req := p.req
-	c.eng.Schedule(dataEnd, func() {
-		c.inflight--
-		req.Complete(c.eng.Now())
-	})
+	c.serviced.Push(p)
+	c.eng.ScheduleFn(dataEnd, ctrlComplete, c)
 
 	// Next request may begin scheduling once this one's column command has
 	// issued — that is where command-bus serialization bites.

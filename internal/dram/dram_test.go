@@ -387,7 +387,7 @@ func TestScheduleCompositionEntryPoint(t *testing.T) {
 	cfg.RefreshEnabled = false
 	c := newTestController(cfg)
 	doneCount := 0
-	if !c.Schedule(0, false, func() { doneCount++ }) {
+	if !c.Schedule(0, false, func(any) { doneCount++ }, nil) {
 		t.Fatal("Schedule rejected")
 	}
 	c.Engine().Run()

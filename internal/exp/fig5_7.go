@@ -110,7 +110,7 @@ func chaseLoads(nodes, hops int, stride uint64) cpu.Workload {
 		ins = append(ins, cpu.Instr{
 			IsMem: true, IsLoad: true, DependsOnLoad: true,
 			Addr: uint64(at) * stride, Class: cpu.ClassRead})
-		at = perm[at]
+		at = int(perm[at])
 	}
 	return &cpu.SliceWorkload{Instrs: ins}
 }
@@ -333,4 +333,4 @@ func fig4(sc Scale) *Result {
 }
 
 // permCycle builds a deterministic single-cycle permutation.
-func permCycle(nodes int) []int { return workload.Perm(nodes, 12345) }
+func permCycle(nodes int) []int32 { return workload.Perm(nodes, 12345) }

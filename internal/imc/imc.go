@@ -183,20 +183,20 @@ func (m *IMC) Unroute(ch int, local uint64) uint64 {
 	return (span*n+uint64(ch))*g + local%g
 }
 
-// Read issues a 64B read; done fires when data arrives at the iMC, carrying
-// a non-nil error when the DIMM reported an uncorrectable media read
+// Read issues a 64B read; done(arg, err) fires when data arrives at the
+// iMC, err non-nil when the DIMM reported an uncorrectable media read
 // (poison). It reports false when the channel's RPQ is full.
-func (m *IMC) Read(addr uint64, done func(error)) bool {
+func (m *IMC) Read(addr uint64, done func(any, error), arg any) bool {
 	ch, local := m.Route(addr)
-	return m.channels[ch].read(local, done)
+	return m.channels[ch].read(local, done, arg)
 }
 
-// Write offers a 64B store; done fires when the store is ADR-durable
+// Write offers a 64B store; done(arg) fires when the store is ADR-durable
 // (accepted into the WPQ). It reports false when the WPQ is full and cannot
 // merge, in which case the caller retries.
-func (m *IMC) Write(addr uint64, data []byte, done func()) bool {
+func (m *IMC) Write(addr uint64, data []byte, done func(any), arg any) bool {
 	ch, local := m.Route(addr)
-	return m.channels[ch].write(local, data, done)
+	return m.channels[ch].write(local, data, done, arg)
 }
 
 // Fence drains every WPQ and flushes every DIMM LSQ, then fires done.
@@ -280,6 +280,11 @@ type Channel struct {
 	o        *obs.Obs
 	comp     string
 	histWait *obs.Histogram // WPQ residency (enqueue -> drain pop), ns
+
+	// readOps recycles the per-read records. Unlike the rest of the
+	// channel it is home-owned: records are taken in read (called from home
+	// context) and returned by the home completion event.
+	readOps sim.FreeList[chanRead]
 }
 
 func newChannel(eng *sim.Engine, cfg Config, d *nvdimm.DIMM, idx int) *Channel {
@@ -313,7 +318,16 @@ func (ch *Channel) busy() bool {
 	return ch.rpqInFlight > 0 || !ch.wpq.Empty() || ch.haveDrain || ch.dimm.Busy()
 }
 
-func (ch *Channel) read(addr uint64, done func(error)) bool {
+// chanRead is one read in flight through a channel.
+type chanRead struct {
+	ch   *Channel
+	addr uint64
+	err  error
+	done func(any, error)
+	arg  any
+}
+
+func (ch *Channel) read(addr uint64, done func(any, error), arg any) bool {
 	if ch.rpqInFlight >= ch.cfg.RPQSlots {
 		return false
 	}
@@ -322,6 +336,8 @@ func (ch *Channel) read(addr uint64, done func(error)) bool {
 		ch.o.Emit(obs.Event{Now: ch.eng.Now(), Stage: obs.StageRPQ, Pos: obs.PosEnqueue,
 			Comp: ch.comp, Addr: addr})
 	}
+	r := ch.readOps.Get()
+	*r = chanRead{ch: ch, addr: addr, done: done, arg: arg}
 	// WPQ forwarding: a pending store to the line satisfies the read at the
 	// iMC without a DIMM round trip.
 	line := addr - addr%64
@@ -335,30 +351,41 @@ func (ch *Channel) read(addr uint64, done func(error)) bool {
 		// Completion invokes the driver callback, so it runs as a home event;
 		// rpqInFlight is thereby home-owned (bumped here in driver context,
 		// decremented in home completions) and never touched by shard events.
-		ch.eng.AfterHome(ch.readOverCyc/2, func() {
-			ch.rpqInFlight--
-			ch.noteRPQDone(addr)
-			done(nil)
-		})
+		ch.eng.AfterHomeFn(ch.readOverCyc/2, chanReadDone, r)
 		return true
 	}
 	ch.rpqInFlight++
 	start := ch.bus.acquire(ch.eng.Now(), false)
-	ch.eng.Schedule(start+ch.transferCyc+ch.readOverCyc/2, func() {
-		ch.dimm.Read(addr, func(err error) {
-			// Poison rides the same return transfer as data would: DDR-T
-			// signals the error in-band, so timing is unchanged. The bus
-			// reservation happens here on the channel's shard; only the final
-			// hand-back to the driver crosses to a home event.
-			ret := ch.bus.acquire(ch.eng.Now(), false)
-			ch.eng.ScheduleHome(ret+ch.transferCyc+ch.readOverCyc/2, func() {
-				ch.rpqInFlight--
-				ch.noteRPQDone(addr)
-				done(err)
-			})
-		})
-	})
+	ch.eng.ScheduleFn(start+ch.transferCyc+ch.readOverCyc/2, chanReadIssue, r)
 	return true
+}
+
+func chanReadIssue(a any) {
+	r := a.(*chanRead)
+	r.ch.dimm.Read(r.addr, chanReadReturn, r)
+}
+
+// chanReadReturn carries the DIMM's data (or poison) back over the bus.
+// Poison rides the same return transfer as data would: DDR-T signals the
+// error in-band, so timing is unchanged. The bus reservation happens here on
+// the channel's shard; only the final hand-back to the driver crosses to a
+// home event.
+func chanReadReturn(a any, err error) {
+	r := a.(*chanRead)
+	ch := r.ch
+	r.err = err
+	ret := ch.bus.acquire(ch.eng.Now(), false)
+	ch.eng.ScheduleHomeFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadDone, r)
+}
+
+func chanReadDone(a any) {
+	r := a.(*chanRead)
+	ch := r.ch
+	ch.rpqInFlight--
+	ch.noteRPQDone(r.addr)
+	done, arg, err := r.done, r.arg, r.err
+	ch.readOps.Put(r)
+	done(arg, err)
 }
 
 // noteRPQDone emits the read-completion hook event.
@@ -369,7 +396,7 @@ func (ch *Channel) noteRPQDone(addr uint64) {
 	}
 }
 
-func (ch *Channel) write(addr uint64, data []byte, done func()) bool {
+func (ch *Channel) write(addr uint64, data []byte, done func(any), arg any) bool {
 	line := addr - addr%64
 	_, ok := ch.wpq.Accept(line, ch.eng.Now())
 	if !ok {
@@ -383,7 +410,7 @@ func (ch *Channel) write(addr uint64, data []byte, done func()) bool {
 	}
 	ch.pendingData(addr, data)
 	ch.kickDrain()
-	ch.eng.AfterHome(ch.writeAccCyc, done)
+	ch.eng.AfterHomeFn(ch.writeAccCyc, done, arg)
 	return true
 }
 

@@ -26,7 +26,7 @@ func newIMC(t *testing.T, n int, interleaved bool) (*sim.Engine, *IMC) {
 func TestReadCompletes(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	done := false
-	if !m.Read(4096, func(error) { done = true }) {
+	if !m.Read(4096, func(any, error) { done = true }, nil) {
 		t.Fatal("read rejected")
 	}
 	eng.Run()
@@ -41,11 +41,11 @@ func TestReadCompletes(t *testing.T) {
 func TestWriteCompletesAtWPQAccept(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	var at sim.Cycle = sim.Never
-	if !m.Write(64, nil, func() { at = eng.Now() }) {
+	if !m.Write(64, nil, func(any) { at = eng.Now() }, nil) {
 		t.Fatal("write rejected")
 	}
 	var readAt sim.Cycle = sim.Never
-	m.Read(1<<20, func(error) { readAt = eng.Now() })
+	m.Read(1<<20, func(any, error) { readAt = eng.Now() }, nil)
 	eng.Run()
 	if at == sim.Never || readAt == sim.Never {
 		t.Fatal("operations never completed")
@@ -59,7 +59,7 @@ func TestWPQBackpressureAfterCapacityDistinctLines(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	accepted := 0
 	for i := 0; i < 64; i++ {
-		if m.Write(uint64(i)*64, nil, func() {}) {
+		if m.Write(uint64(i)*64, nil, func(any) {}, nil) {
 			accepted++
 		} else {
 			break
@@ -78,7 +78,7 @@ func TestWPQMergeAvoidsBackpressure(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	// Hammer the same line: merging must always accept.
 	for i := 0; i < 100; i++ {
-		if !m.Write(0, nil, func() {}) {
+		if !m.Write(0, nil, func(any) {}, nil) {
 			t.Fatalf("merge write %d rejected", i)
 		}
 	}
@@ -91,7 +91,7 @@ func TestWPQMergeAvoidsBackpressure(t *testing.T) {
 func TestFenceDrainsEverything(t *testing.T) {
 	eng, m := newIMC(t, 2, true)
 	for i := 0; i < 16; i++ {
-		m.Write(uint64(i)*64, nil, func() {})
+		m.Write(uint64(i)*64, nil, func(any) {}, nil)
 	}
 	fenced := false
 	m.Fence(func() { fenced = true })
@@ -108,7 +108,7 @@ func TestRPQBoundsOutstandingReads(t *testing.T) {
 	_, m := newIMC(t, 1, false)
 	issued := 0
 	for i := 0; i < 64; i++ {
-		if m.Read(uint64(i)*4096, func(error) {}) {
+		if m.Read(uint64(i)*4096, func(any, error) {}, nil) {
 			issued++
 		}
 	}

@@ -62,11 +62,11 @@ func chaseAccesses(region, blockSize uint64, op mem.Op, steps int, base uint64, 
 	if nBlocks < 1 {
 		nBlocks = 1
 	}
-	var perm []int
+	var perm []int32
 	if nBlocks > 1 {
 		perm = sim.NewRNG(seed).PermCycle(nBlocks)
 	} else {
-		perm = []int{0}
+		perm = []int32{0}
 	}
 	linesPerBlock := int(blockSize / 64)
 	accs := make([]mem.Access, 0, steps)
@@ -76,7 +76,7 @@ func chaseAccesses(region, blockSize uint64, op mem.Op, steps int, base uint64, 
 		for l := 0; l < linesPerBlock && len(accs) < steps; l++ {
 			accs = append(accs, mem.Access{Op: op, Addr: blockBase + uint64(l)*64, Size: 64})
 		}
-		at = perm[at]
+		at = int(perm[at])
 	}
 	return accs
 }

@@ -14,14 +14,14 @@ import (
 func TestMediaRoundTripAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	x := New(eng, Config{Capacity: 1 << 20, Functional: true})
-	done := func() {}
+	done := func(any) {}
 	payload := []byte{0xa5, 0x5a, 0x42, 0x24}
 	addr := uint64(64 << 10)
 
 	warm := func() {
 		x.WriteData(addr, payload)
-		x.Access(addr, true, done)
-		x.Access(addr, false, done)
+		x.Access(addr, true, done, x)
+		x.Access(addr, false, done, x)
 		_ = x.ReadData(addr, len(payload))
 		eng.Run()
 	}
@@ -29,8 +29,8 @@ func TestMediaRoundTripAllocFree(t *testing.T) {
 
 	avg := testing.AllocsPerRun(200, func() {
 		x.WriteData(addr, payload)
-		x.Access(addr, true, done)
-		x.Access(addr, false, done)
+		x.Access(addr, true, done, x)
+		x.Access(addr, false, done, x)
 		eng.Run()
 	})
 	if avg != 0 {
@@ -54,7 +54,7 @@ func TestPagedStoresSparseSemantics(t *testing.T) {
 	if w := x.WearCount(3 << 20); w != 0 {
 		t.Fatalf("untouched wear block count = %d, want 0", w)
 	}
-	x.Access(3<<20, true, nil)
+	x.Access(3<<20, true, nil, nil)
 	eng.Run()
 	if w := x.WearCount(3 << 20); w != 1 {
 		t.Fatalf("wear after one write = %d, want 1", w)

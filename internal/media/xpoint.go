@@ -182,20 +182,21 @@ func (x *XPoint) partition(addr uint64) int {
 }
 
 // Access times one demand block access at addr (media address). done, if
-// non-nil, fires when the access completes; the return value is the
+// non-nil, is called with arg when the access completes (the engine's
+// allocation-free (func(any), any) form); the return value is the
 // completion cycle. Writes bump the wear counter of the containing block.
-func (x *XPoint) Access(addr uint64, write bool, done func()) sim.Cycle {
-	return x.access(addr, write, false, done)
+func (x *XPoint) Access(addr uint64, write bool, done func(any), arg any) sim.Cycle {
+	return x.access(addr, write, false, done, arg)
 }
 
 // AccessBG times one background (speculative fill) access. Background reads
 // are restricted to the last read port so they can never starve demand
 // reads.
-func (x *XPoint) AccessBG(addr uint64, write bool, done func()) sim.Cycle {
-	return x.access(addr, write, true, done)
+func (x *XPoint) AccessBG(addr uint64, write bool, done func(any), arg any) sim.Cycle {
+	return x.access(addr, write, true, done, arg)
 }
 
-func (x *XPoint) access(addr uint64, write, background bool, done func()) sim.Cycle {
+func (x *XPoint) access(addr uint64, write, background bool, done func(any), arg any) sim.Cycle {
 	addr = addr % x.cfg.Capacity
 	p := x.partition(addr)
 	start := x.eng.Now()
@@ -260,7 +261,7 @@ func (x *XPoint) access(addr uint64, write, background bool, done func()) sim.Cy
 		})
 	}
 	if done != nil {
-		x.eng.Schedule(end, done)
+		x.eng.ScheduleFn(end, done, arg)
 	}
 	return end
 }

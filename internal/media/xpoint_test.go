@@ -23,10 +23,10 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestAccessLatencyAsymmetry(t *testing.T) {
 	eng, x := newTest(Config{})
-	rEnd := x.Access(0, false, nil)
+	rEnd := x.Access(0, false, nil, nil)
 	_ = eng
 	// Same partition: write must start after the read finishes.
-	wEnd := x.Access(0, true, nil)
+	wEnd := x.Access(0, true, nil, nil)
 	if wEnd <= rEnd {
 		t.Fatal("same-partition accesses not serialized")
 	}
@@ -39,13 +39,13 @@ func TestPartitionParallelism(t *testing.T) {
 	_, x := newTest(Config{})
 	blk := x.Config().BlockSize
 	// Accesses to different partitions all start at cycle 0.
-	end0 := x.Access(0, false, nil)
-	end1 := x.Access(blk, false, nil)
+	end0 := x.Access(0, false, nil, nil)
+	end1 := x.Access(blk, false, nil, nil)
 	if end0 != end1 {
 		t.Fatalf("different partitions serialized: %d vs %d", end0, end1)
 	}
 	// 17th access wraps to partition 0 and queues behind the first.
-	end16 := x.Access(blk*16, false, nil)
+	end16 := x.Access(blk*16, false, nil, nil)
 	if end16 <= end0 {
 		t.Fatal("wrapped partition access did not queue")
 	}
@@ -54,9 +54,9 @@ func TestPartitionParallelism(t *testing.T) {
 func TestDoneCallbackFiresAtCompletion(t *testing.T) {
 	eng, x := newTest(Config{})
 	var at sim.Cycle
-	end := x.Access(0, true, nil)
+	end := x.Access(0, true, nil, nil)
 	_ = end
-	want := x.Access(256, false, func() { at = eng.Now() })
+	want := x.Access(256, false, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	if at != want {
 		t.Fatalf("done fired at %d, want %d", at, want)
@@ -66,14 +66,14 @@ func TestDoneCallbackFiresAtCompletion(t *testing.T) {
 func TestWearCounting(t *testing.T) {
 	_, x := newTest(Config{})
 	for i := 0; i < 10; i++ {
-		x.Access(0, true, nil)
+		x.Access(0, true, nil, nil)
 	}
-	x.Access(0, false, nil) // reads do not wear
+	x.Access(0, false, nil, nil) // reads do not wear
 	if got := x.WearCount(0); got != 10 {
 		t.Fatalf("WearCount = %d, want 10", got)
 	}
 	// Same 64KB wear block, different media block.
-	x.Access(1024, true, nil)
+	x.Access(1024, true, nil, nil)
 	if got := x.WearCount(0); got != 11 {
 		t.Fatalf("WearCount same wear block = %d, want 11", got)
 	}
@@ -89,9 +89,9 @@ func TestWearCounting(t *testing.T) {
 
 func TestTotalWear(t *testing.T) {
 	_, x := newTest(Config{})
-	x.Access(0, true, nil)
-	x.Access(64<<10, true, nil)
-	x.Access(128<<10, true, nil)
+	x.Access(0, true, nil, nil)
+	x.Access(64<<10, true, nil, nil)
+	x.Access(128<<10, true, nil, nil)
 	if got := x.TotalWear(); got != 3 {
 		t.Fatalf("TotalWear = %d, want 3", got)
 	}
@@ -99,8 +99,8 @@ func TestTotalWear(t *testing.T) {
 
 func TestStatsCounts(t *testing.T) {
 	_, x := newTest(Config{})
-	x.Access(0, false, nil)
-	x.Access(256, true, nil)
+	x.Access(0, false, nil, nil)
+	x.Access(256, true, nil, nil)
 	st := x.Stats()
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -189,7 +189,7 @@ func TestPartitionSerializationProperty(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			addr := rng.Uint64n(1 << 22)
 			p := x.partition(addr % x.cfg.Capacity)
-			end := x.Access(addr, rng.Intn(2) == 0, nil)
+			end := x.Access(addr, rng.Intn(2) == 0, nil, nil)
 			if prev, ok := lastEnd[p]; ok && end <= prev {
 				return false
 			}

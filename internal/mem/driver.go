@@ -33,10 +33,49 @@ type Driver struct {
 	ckpt     *CkptPolicy
 	ckptErr  error
 	runStart sim.Cycle
+
+	// free recycles requests: each returns to the list once its completion
+	// is accounted, so a warm run allocates none. Completions are home
+	// events, so only home context touches it. inflight counts a windowed
+	// run's outstanding requests and chainDone flags RunChain's current one;
+	// onWindowDone / onChainDone are the matching OnDone callbacks, bound
+	// once by NewDriver so issuing a request allocates no closure.
+	free         sim.FreeList[Request]
+	inflight     int
+	chainDone    bool
+	onWindowDone func(*Request)
+	onChainDone  func(*Request)
 }
 
 // NewDriver returns a driver bound to sys.
-func NewDriver(sys System) *Driver { return &Driver{sys: sys} }
+func NewDriver(sys System) *Driver {
+	d := &Driver{sys: sys}
+	d.onWindowDone = d.windowDone
+	d.onChainDone = d.chainFinished
+	return d
+}
+
+// request returns a recycled request for access a with completion onDone.
+func (d *Driver) request(a Access, onDone func(*Request)) *Request {
+	d.nextID++
+	r := d.free.Get()
+	*r = Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data, OnDone: onDone}
+	return r
+}
+
+// windowDone completes one request of a windowed run and recycles it.
+func (d *Driver) windowDone(r *Request) {
+	d.inflight--
+	d.noteDone(r)
+	d.free.Put(r)
+}
+
+// chainFinished completes RunChain's current request; RunChain recycles it
+// after reading its latency.
+func (d *Driver) chainFinished(r *Request) {
+	d.chainDone = true
+	d.noteDone(r)
+}
 
 // SetObs registers the driver's request counters and end-to-end latency
 // histograms ("driver" component) and enables request-lifecycle hook
@@ -128,16 +167,15 @@ func (d *Driver) RunChain(accs []Access) []sim.Cycle {
 	eng := d.sys.Engine()
 	lats := make([]sim.Cycle, 0, len(accs))
 	for _, a := range accs {
-		d.nextID++
-		done := false
-		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
-			OnDone: func(r *Request) { done = true; d.noteDone(r) }}
+		r := d.request(a, d.onChainDone)
+		d.chainDone = false
 		d.submitBlocking(r)
-		eng.RunWhile(func() bool { return !done })
-		if !done {
+		eng.RunWhile(func() bool { return !d.chainDone })
+		if !d.chainDone {
 			panic("mem: request never completed (model deadlock)")
 		}
 		lats = append(lats, r.Latency())
+		d.free.Put(r)
 	}
 	return lats
 }
@@ -188,7 +226,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 	} else {
 		d.runStart = start
 	}
-	inflight := 0
+	d.inflight = 0
 	completed := true
 	for i := first; i < len(accs); i++ {
 		a := accs[i]
@@ -197,7 +235,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			// hand the idle cut to the sink. The drain is executed even with a
 			// nil sink so barrier placement — part of the plan — perturbs a
 			// non-checkpointing run identically.
-			for inflight > 0 {
+			for d.inflight > 0 {
 				if eng.Pending() == 0 {
 					panic("mem: barrier drain stalled with no pending events (model deadlock)")
 				}
@@ -217,20 +255,17 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			completed = false
 			break
 		}
-		for inflight >= window {
+		for d.inflight >= window {
 			fired := eng.Fired()
-			eng.RunWhile(func() bool { return eng.Fired() == fired && inflight >= window })
-			if inflight >= window && eng.Pending() == 0 {
+			eng.RunWhile(func() bool { return eng.Fired() == fired && d.inflight >= window })
+			if d.inflight >= window && eng.Pending() == 0 {
 				panic("mem: window stalled with no pending events (model deadlock)")
 			}
 		}
-		d.nextID++
-		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
-			OnDone: func(r *Request) { inflight--; d.noteDone(r) }}
-		d.submitBlocking(r)
-		inflight++
+		d.submitBlocking(d.request(a, d.onWindowDone))
+		d.inflight++
 	}
-	for inflight > 0 {
+	for d.inflight > 0 {
 		if eng.Pending() == 0 {
 			panic("mem: drain stalled with no pending events (model deadlock)")
 		}

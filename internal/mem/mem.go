@@ -57,7 +57,9 @@ func (o Op) IsWrite() bool { return o == OpWrite || o == OpWriteNT }
 const CacheLine = 64
 
 // Request is one memory access flowing through a System. Requests are
-// allocated by the driver and owned by the system until OnDone fires.
+// allocated by the driver and owned by the system until OnDone fires; the
+// driver recycles a request once its OnDone has run, so a system must not
+// touch a request after completing it.
 type Request struct {
 	// ID is a driver-assigned identifier, unique within a run.
 	ID uint64

@@ -267,21 +267,14 @@ func (b *AITBuffer) CleanLine(page uint64) {
 	}
 }
 
-// MissingSectors returns the invalid sector indices of a resident page
-// (empty when the page is absent).
-func (b *AITBuffer) MissingSectors(page uint64) []int {
+// missingMask returns the invalid-sector bitmask of a resident page (bit s
+// set = sector s invalid), 0 when the page is absent.
+func (b *AITBuffer) missingMask(page uint64) uint16 {
 	i := b.find(page)
 	if i < 0 {
-		return nil
+		return 0
 	}
-	valid := b.set(page)[i].valid
-	var out []int
-	for s := 0; s < b.sectors; s++ {
-		if valid&(1<<s) == 0 {
-			out = append(out, s)
-		}
-	}
-	return out
+	return ^b.set(page)[i].valid & uint16(uint32(1)<<b.sectors-1)
 }
 
 // DirtyPages returns pages with any dirty sector and their dirty masks.

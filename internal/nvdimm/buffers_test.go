@@ -53,19 +53,6 @@ func TestRMWReinsertRefreshes(t *testing.T) {
 	}
 }
 
-func TestRMWDirtyBlocksAndClean(t *testing.T) {
-	b := NewRMWBuffer(4)
-	b.Insert(0)
-	b.Insert(256)
-	b.MarkDirty(0)
-	b.MarkDirty(256)
-	b.Clean(0)
-	dirty := b.DirtyBlocks()
-	if len(dirty) != 1 || dirty[0] != 256 {
-		t.Fatalf("DirtyBlocks = %v", dirty)
-	}
-}
-
 // Property: RMW buffer never exceeds capacity and lookups after insert hit.
 func TestRMWCapacityInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -113,17 +100,11 @@ func TestAITBufferMissingSectors(t *testing.T) {
 	b := NewAITBuffer(16, 4, 1024, 256) // 4 sectors per line
 	b.Allocate(7)
 	b.FillSector(7, 2)
-	missing := b.MissingSectors(7)
-	if len(missing) != 3 {
-		t.Fatalf("missing = %v", missing)
+	if got := b.missingMask(7); got != 0b1011 {
+		t.Fatalf("missing mask = %04b, want 1011 (every sector but the filled one)", got)
 	}
-	for _, s := range missing {
-		if s == 2 {
-			t.Fatal("filled sector listed missing")
-		}
-	}
-	if b.MissingSectors(99) != nil {
-		t.Fatal("absent page should report nil")
+	if got := b.missingMask(99); got != 0 {
+		t.Fatalf("absent page missing mask = %04b, want 0", got)
 	}
 }
 

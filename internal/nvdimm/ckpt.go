@@ -60,14 +60,11 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 // SaveState serializes the RMW buffer: resident lines sorted by block as
 // (block, dirty, lastUse), then tick, hits, misses.
 func (b *RMWBuffer) SaveState(enc *ckpt.Enc) {
-	blocks := make([]uint64, 0, len(b.lines))
-	for blk := range b.lines {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	enc.U32(uint32(len(blocks)))
-	for _, blk := range blocks {
-		l := b.lines[blk]
+	lines := make([]rmwLine, len(b.slots))
+	copy(lines, b.slots)
+	sort.Slice(lines, func(i, j int) bool { return lines[i].block < lines[j].block })
+	enc.U32(uint32(len(lines)))
+	for _, l := range lines {
 		enc.U64(l.block)
 		enc.Bool(l.dirty)
 		enc.U64(l.lastUse)
@@ -77,7 +74,9 @@ func (b *RMWBuffer) SaveState(enc *ckpt.Enc) {
 	enc.U64(b.misses)
 }
 
-// LoadState restores an RMW buffer captured by SaveState.
+// LoadState restores an RMW buffer captured by SaveState. The LRU list is
+// rebuilt in lastUse order, so the restored buffer evicts exactly the
+// victims the captured one would have.
 func (b *RMWBuffer) LoadState(dec *ckpt.Dec) error {
 	n := dec.Count(17)
 	if err := dec.Err(); err != nil {
@@ -86,7 +85,9 @@ func (b *RMWBuffer) LoadState(dec *ckpt.Dec) error {
 	if n > b.entries {
 		return fmt.Errorf("%w: %d RMW lines, capacity %d", ckpt.ErrCorrupt, n, b.entries)
 	}
-	clear(b.lines)
+	clear(b.index)
+	b.slots = b.slots[:0]
+	b.head, b.tail = -1, -1
 	for i := 0; i < n; i++ {
 		blk := dec.U64()
 		dirty := dec.Bool()
@@ -94,7 +95,21 @@ func (b *RMWBuffer) LoadState(dec *ckpt.Dec) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		b.lines[blk] = &rmwLine{block: blk, dirty: dirty, lastUse: lastUse}
+		if _, dup := b.index[blk]; dup {
+			return fmt.Errorf("%w: duplicate RMW line %#x", ckpt.ErrCorrupt, blk)
+		}
+		b.index[blk] = int32(i)
+		b.slots = append(b.slots, rmwLine{block: blk, dirty: dirty, lastUse: lastUse})
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return b.slots[order[i]].lastUse < b.slots[order[j]].lastUse
+	})
+	for _, i := range order {
+		b.pushMRU(i)
 	}
 	b.tick = dec.U64()
 	b.hits = dec.U64()

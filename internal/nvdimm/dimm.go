@@ -74,6 +74,16 @@ type DIMM struct {
 	// both in ns; nil when no Obs is attached so the hot path skips them.
 	histLSQWait *obs.Histogram
 	histAIT     *obs.Histogram
+
+	// Recycled per-access records of the closure-free completion chains
+	// (DESIGN.md §9). Every DIMM event runs on the DIMM's shard, so these
+	// lists are touched by one shard only.
+	reads   sim.FreeList[readOp]
+	aits    sim.FreeList[aitOp]
+	medias  sim.FreeList[mediaOp]
+	fills   sim.FreeList[fillOp]
+	groups  sim.FreeList[groupOp]
+	retries sim.FreeList[dramRetry]
 }
 
 // dramRegion layout inside the on-DIMM DRAM: translation table first, then
@@ -198,43 +208,84 @@ func (d *DIMM) dataAddr(page uint64, sector int) uint64 {
 	return dataBase + idx*d.cfg.AITLine + uint64(sector)*d.cfg.RMWBlock
 }
 
-// dramAccess schedules one 64B access on the on-DIMM DRAM, retrying under
-// backpressure.
-func (d *DIMM) dramAccess(addr uint64, write bool, done func()) {
-	if !d.dramC.Schedule(addr, write, done) {
-		d.eng.After(24, func() { d.dramAccess(addr, write, done) })
-	}
+// dramRetry is a DRAM access waiting out controller backpressure.
+type dramRetry struct {
+	d     *DIMM
+	addr  uint64
+	n     int
+	write bool
+	done  func(any)
+	arg   any
 }
 
 // dramBurst schedules one n-burst access (n*64 contiguous bytes — a 256B
-// AIT sector is 4 bursts) as a single DRAM transaction, retrying under
-// backpressure.
-func (d *DIMM) dramBurst(addr uint64, n int, write bool, done func()) {
-	if !d.dramC.ScheduleN(addr, write, n, done) {
-		d.eng.After(24, func() { d.dramBurst(addr, n, write, done) })
+// AIT sector is 4 bursts) as a single DRAM transaction, calling done(arg)
+// when its data completes and retrying every 24 cycles under backpressure.
+func (d *DIMM) dramBurst(addr uint64, n int, write bool, done func(any), arg any) {
+	if d.dramC.ScheduleN(addr, write, n, done, arg) {
+		return
 	}
+	r := d.retries.Get()
+	*r = dramRetry{d: d, addr: addr, n: n, write: write, done: done, arg: arg}
+	d.eng.AfterFn(24, dimmDRAMRetry, r)
+}
+
+func dimmDRAMRetry(a any) {
+	r := a.(*dramRetry)
+	d := r.d
+	if !d.dramC.ScheduleN(r.addr, r.write, r.n, r.done, r.arg) {
+		d.eng.AfterFn(24, dimmDRAMRetry, r)
+		return
+	}
+	d.retries.Put(r)
+}
+
+// mediaOp is one media access issued through the wear-leveler stall window.
+type mediaOp struct {
+	d          *DIMM
+	cpuBlock   uint64
+	mediaAddr  uint64
+	write      bool
+	background bool
+	err        error // injected poison, drawn at issue
+	done       func(any, error)
+	arg        any
 }
 
 // mediaAccess performs one 256B demand media access through the
-// wear-leveler stall window, firing done at completion. Reads may surface an
-// injected uncorrectable media error (poison) through done; writes never do.
-func (d *DIMM) mediaAccess(cpuBlock uint64, write bool, done func(error)) {
-	d.mediaAccessPri(cpuBlock, write, false, done)
+// wear-leveler stall window, calling done(arg, err) at completion (done may
+// be nil). Reads may surface an injected uncorrectable media error (poison)
+// through err; writes never do.
+func (d *DIMM) mediaAccess(cpuBlock uint64, write bool, done func(any, error), arg any) {
+	d.mediaAccessPri(cpuBlock, write, false, done, arg)
 }
 
-func (d *DIMM) mediaAccessPri(cpuBlock uint64, write, background bool, done func(error)) {
-	mediaAddr := d.trans.ToMedia(cpuBlock)
+func (d *DIMM) mediaAccessPri(cpuBlock uint64, write, background bool, done func(any, error), arg any) {
+	m := d.medias.Get()
+	*m = mediaOp{d: d, cpuBlock: cpuBlock, write: write, background: background, done: done, arg: arg}
+	d.mediaIssue(m)
+}
+
+func dimmMediaIssue(a any) {
+	m := a.(*mediaOp)
+	m.d.mediaIssue(m)
+}
+
+// mediaIssue starts m on the media, or re-arms it for the end of a
+// migration stall covering its (re-translated) media address.
+func (d *DIMM) mediaIssue(m *mediaOp) {
+	mediaAddr := d.trans.ToMedia(m.cpuBlock)
 	if until := d.wear.BusyUntil(mediaAddr); until > d.eng.Now() {
 		d.stats.MediaStalls++
-		d.eng.Schedule(until, func() { d.mediaAccessPri(cpuBlock, write, background, done) })
+		d.eng.ScheduleFn(until, dimmMediaIssue, m)
 		return
 	}
+	m.mediaAddr = mediaAddr
 	// Poison is drawn at issue time: the access still occupies the media
 	// (the ECC pipeline runs to completion) but delivers an error instead
 	// of data.
-	var perr error
-	if !write {
-		if perr = d.inj.ReadPoison(mediaAddr); perr != nil {
+	if !m.write {
+		if m.err = d.inj.ReadPoison(mediaAddr); m.err != nil {
 			d.stats.MediaPoison++
 			if d.o.Active() {
 				d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageMedia, Pos: obs.PosFault,
@@ -243,21 +294,31 @@ func (d *DIMM) mediaAccessPri(cpuBlock uint64, write, background bool, done func
 		}
 	}
 	d.mediaInFlight++
-	cb := func() {
-		d.mediaInFlight--
-		if write {
-			d.wear.NoteWrite(mediaAddr)
-		}
-		if done != nil {
-			done(perr)
-		}
-	}
-	if background {
-		d.med.AccessBG(mediaAddr, write, cb)
+	if m.background {
+		d.med.AccessBG(mediaAddr, m.write, dimmMediaDone, m)
 	} else {
-		d.med.Access(mediaAddr, write, cb)
+		d.med.Access(mediaAddr, m.write, dimmMediaDone, m)
 	}
 }
+
+func dimmMediaDone(a any) {
+	m := a.(*mediaOp)
+	d := m.d
+	d.mediaInFlight--
+	if m.write {
+		d.wear.NoteWrite(m.mediaAddr)
+	}
+	done, arg, err := m.done, m.arg, m.err
+	d.medias.Put(m)
+	if done != nil {
+		done(arg, err)
+	}
+}
+
+// dimmWriteDone retires one internal write (writesInFlight) of the DIMM
+// passed as arg; dimmWriteDoneErr is its media-continuation form.
+func dimmWriteDone(a any)             { a.(*DIMM).writesInFlight-- }
+func dimmWriteDoneErr(a any, _ error) { a.(*DIMM).writesInFlight-- }
 
 // maxInternalWrites bounds LSQ-drain concurrency: the RMW buffer cannot
 // source more outstanding operations than it has ports/entries, and the
@@ -281,18 +342,25 @@ func (d *DIMM) rmwSlot() sim.Cycle {
 
 // ---------------------------------------------------------------- read path
 
-// Read requests the 64B line at addr; done fires when data is ready to move
-// onto the bus back to the iMC. A non-nil error reports an uncorrectable
-// media read (poison): the access completes with full timing but no data.
-func (d *DIMM) Read(addr uint64, done func(error)) {
+// readOp is one client read (Read).
+type readOp struct {
+	d     *DIMM
+	block uint64
+	err   error
+	done  func(any, error)
+	arg   any
+}
+
+// Read requests the 64B line at addr; done(arg, err) fires when data is
+// ready to move onto the bus back to the iMC. A non-nil err reports an
+// uncorrectable media read (poison): the access completes with full timing
+// but no data.
+func (d *DIMM) Read(addr uint64, done func(any, error), arg any) {
 	d.stats.ClientReads++
 	d.readsInFlight++
-	finish := func(err error) {
-		d.readsInFlight--
-		done(err)
-	}
+	r := d.reads.Get()
+	*r = readOp{d: d, block: d.block(addr), done: done, arg: arg}
 	line := addr - addr%64
-	block := d.block(addr)
 
 	// LSQ forwarding: pending store data is returned directly (data
 	// fast-forward, the effect the RaW prober measures).
@@ -302,17 +370,17 @@ func (d *DIMM) Read(addr uint64, done func(error)) {
 			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageLSQ, Pos: obs.PosHit,
 				Comp: d.comp, Addr: addr})
 		}
-		d.eng.After(d.cyc.lsqLookup+d.cyc.rmwHit, func() { finish(nil) })
+		d.eng.AfterFn(d.cyc.lsqLookup+d.cyc.rmwHit, dimmReadFinish, r)
 		return
 	}
 
 	start := d.rmwSlot() + d.cyc.lsqLookup
-	if d.rmw.Lookup(block) {
+	if d.rmw.Lookup(r.block) {
 		if d.o.Active() {
 			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
 				Comp: d.comp, Addr: addr})
 		}
-		d.eng.Schedule(start+d.cyc.rmwHit, func() { finish(nil) })
+		d.eng.ScheduleFn(start+d.cyc.rmwHit, dimmReadFinish, r)
 		return
 	}
 	if d.o.Active() {
@@ -323,23 +391,40 @@ func (d *DIMM) Read(addr uint64, done func(error)) {
 	// Lazy cache probe (optimization, §V-C): frequently written data can be
 	// served from the small persistent write cache.
 	if d.lazy != nil {
-		if lat, hit := d.lazy.ReadProbe(block); hit {
-			d.eng.Schedule(start+lat, func() { finish(nil) })
+		if lat, hit := d.lazy.ReadProbe(r.block); hit {
+			d.eng.ScheduleFn(start+lat, dimmReadFinish, r)
 			return
 		}
 	}
 
-	d.eng.Schedule(start, func() {
-		d.aitRead(block, func(err error) {
-			if err != nil {
-				// Poisoned data is never installed in the RMW buffer.
-				d.eng.After(d.cyc.rmwHit, func() { finish(err) })
-				return
-			}
-			d.installRMW(block, false)
-			d.eng.After(d.cyc.rmwHit, func() { finish(nil) })
-		})
-	})
+	d.eng.ScheduleFn(start, dimmReadAIT, r)
+}
+
+func dimmReadAIT(a any) {
+	r := a.(*readOp)
+	r.d.aitRead(r.block, dimmReadFilled, r)
+}
+
+// dimmReadFilled continues a read once the AIT delivered its sector.
+func dimmReadFilled(a any, err error) {
+	r := a.(*readOp)
+	d := r.d
+	if err != nil {
+		// Poisoned data is never installed in the RMW buffer.
+		r.err = err
+	} else {
+		d.installRMW(r.block, false)
+	}
+	d.eng.AfterFn(d.cyc.rmwHit, dimmReadFinish, r)
+}
+
+func dimmReadFinish(a any) {
+	r := a.(*readOp)
+	d := r.d
+	done, arg, err := r.done, r.arg, r.err
+	d.reads.Put(r)
+	d.readsInFlight--
+	done(arg, err)
 }
 
 // installRMW inserts a block into the RMW buffer, handling eviction.
@@ -351,26 +436,60 @@ func (d *DIMM) installRMW(block uint64, dirty bool) {
 	if evicted && ev.Dirty {
 		// Write-back mode only: push the displaced line to the AIT.
 		d.writesInFlight++
-		d.aitWrite(ev.Block, func() { d.writesInFlight-- })
+		d.aitWrite(ev.Block, dimmWriteDone, d)
 	}
+}
+
+// aitOp is one AIT operation (aitRead or aitWrite): exactly one of rdone
+// and wdone is set.
+type aitOp struct {
+	d      *DIMM
+	block  uint64
+	page   uint64
+	sector int
+	start  sim.Cycle // for the histAIT latency
+	rdone  func(any, error)
+	wdone  func(any)
+	arg    any
+}
+
+func (d *DIMM) newAITOp(block uint64) *aitOp {
+	op := d.aits.Get()
+	*op = aitOp{d: d, block: block, page: d.page(block), sector: d.sector(block), start: d.eng.Now()}
+	return op
+}
+
+// aitDone finishes an AIT operation: record its latency, recycle the record,
+// continue with the caller's completion.
+func (d *DIMM) aitDone(op *aitOp, err error) {
+	if d.histAIT != nil {
+		d.histAIT.Observe(uint64(float64(d.eng.Now()-op.start) / dram.CyclesPerNano))
+	}
+	rdone, wdone, arg := op.rdone, op.wdone, op.arg
+	d.aits.Put(op)
+	if rdone != nil {
+		rdone(arg, err)
+	} else {
+		wdone(arg)
+	}
+}
+
+// dimmAITDone is the DRAM continuation that ends an AIT operation (a sector
+// hit read, or a write-back buffer update).
+func dimmAITDone(a any) {
+	op := a.(*aitOp)
+	op.d.aitDone(op, nil)
 }
 
 // aitRead fetches the 256B sector containing block from the AIT: a
 // translation-table DRAM read, then either an AIT-buffer DRAM read (hit) or
-// a media access with critical-sector-first line fill (miss). An injected
-// AIT stall spike (controller firmware hiccup) stretches the lookup latency.
-func (d *DIMM) aitRead(block uint64, done func(error)) {
-	page := d.page(block)
-	sector := d.sector(block)
+// a media access with critical-sector-first line fill (miss), then
+// done(arg, err). An injected AIT stall spike (controller firmware hiccup)
+// stretches the lookup latency.
+func (d *DIMM) aitRead(block uint64, done func(any, error), arg any) {
+	op := d.newAITOp(block)
+	op.rdone, op.arg = done, arg
 	d.stats.TableReads++
-	if d.histAIT != nil {
-		start := d.eng.Now()
-		inner := done
-		done = func(err error) {
-			d.histAIT.Observe(uint64(float64(d.eng.Now()-start) / dram.CyclesPerNano))
-			inner(err)
-		}
-	}
 	if d.o.Active() {
 		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: obs.PosIssue,
 			Comp: d.comp, Addr: block})
@@ -384,15 +503,19 @@ func (d *DIMM) aitRead(block uint64, done func(error)) {
 		}
 		lookup += stall
 	}
-	d.eng.After(lookup, func() {
-		d.dramAccess(d.tableAddr(page), false, func() {
-			d.aitReadLookup(page, sector, block, done)
-		})
-	})
+	d.eng.AfterFn(lookup, dimmAITReadTable, op)
 }
 
-// aitReadLookup continues aitRead after the translation-table access.
-func (d *DIMM) aitReadLookup(page uint64, sector int, block uint64, done func(error)) {
+func dimmAITReadTable(a any) {
+	op := a.(*aitOp)
+	op.d.dramBurst(op.d.tableAddr(op.page), 1, false, dimmAITReadLookup, op)
+}
+
+// dimmAITReadLookup continues aitRead after the translation-table access.
+func dimmAITReadLookup(a any) {
+	op := a.(*aitOp)
+	d := op.d
+	page, sector := op.page, op.sector
 	lineHit, sectorHit := d.buf.LookupSector(page, sector)
 	if d.o.Active() {
 		pos := obs.PosMiss
@@ -400,33 +523,34 @@ func (d *DIMM) aitReadLookup(page uint64, sector int, block uint64, done func(er
 			pos = obs.PosHit
 		}
 		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: pos,
-			Comp: d.comp, Addr: block})
+			Comp: d.comp, Addr: op.block})
 	}
 	if sectorHit {
-		burst := int(d.cfg.RMWBlock / 64)
-		d.dramBurst(d.dataAddr(page, sector), burst, false, func() { done(nil) })
+		d.dramBurst(d.dataAddr(page, sector), int(d.cfg.RMWBlock/64), false, dimmAITDone, op)
 		return
 	}
 	if !lineHit {
 		d.allocateAITLine(page)
 	}
 	// Critical sector from media, following sectors in the background.
-	d.mediaAccess(block, false, func(err error) {
-		if err != nil {
-			// Poisoned sector: nothing valid to install or buffer.
-			done(err)
-			return
-		}
-		d.buf.FillSector(page, sector)
-		// The fetched sector is also written into the DRAM buffer; that
-		// write is off the critical path.
-		burst := int(d.cfg.RMWBlock / 64)
-		d.dramBurst(d.dataAddr(page, sector), burst, true, nil)
-		done(nil)
-	})
+	d.mediaAccess(op.block, false, dimmAITReadMedia, op)
 	if d.cfg.ReadFillLine {
 		d.fillLine(page, sector)
 	}
+}
+
+// dimmAITReadMedia ends an AIT read miss once the critical sector arrives.
+func dimmAITReadMedia(a any, err error) {
+	op := a.(*aitOp)
+	d := op.d
+	if err == nil {
+		// The fetched sector is also written into the DRAM buffer; that
+		// write is off the critical path. A poisoned sector has nothing
+		// valid to install or buffer.
+		d.buf.FillSector(op.page, op.sector)
+		d.dramBurst(d.dataAddr(op.page, op.sector), int(d.cfg.RMWBlock/64), true, nil, nil)
+	}
+	d.aitDone(op, err)
 }
 
 // allocateAITLine makes room for page in the AIT buffer, writing back any
@@ -442,8 +566,15 @@ func (d *DIMM) allocateAITLine(page uint64) {
 		}
 		victimBlock := ev.Page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
 		d.writesInFlight++
-		d.mediaAccess(victimBlock, true, func(error) { d.writesInFlight-- })
+		d.mediaAccess(victimBlock, true, dimmWriteDoneErr, d)
 	}
+}
+
+// fillOp is one background sector fill of fillLine.
+type fillOp struct {
+	d      *DIMM
+	page   uint64
+	sector int
 }
 
 // fillLine fetches the rest of a 4KB AIT line from media in the background
@@ -451,69 +582,75 @@ func (d *DIMM) allocateAITLine(page uint64) {
 // whole-line fill LENS's amplification probe observes). Fills shed when the
 // backlog saturates.
 func (d *DIMM) fillLine(page uint64, except int) {
-	missing := d.buf.MissingSectors(page)
-	for _, s := range missing {
-		if s == except {
+	missing := d.buf.missingMask(page)
+	for s := 0; missing != 0; s, missing = s+1, missing>>1 {
+		if missing&1 == 0 || s == except {
 			continue
 		}
 		if d.mediaInFlight >= maxFillBacklog {
 			return
 		}
-		s := s
-		block := page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
-		d.mediaAccessPri(block, false, true, func(err error) {
-			if err != nil {
-				// Poisoned speculative fill: drop it silently — the sector
-				// stays invalid and a later demand read surfaces the fault.
-				return
-			}
-			d.buf.FillSector(page, s)
-			d.dramBurst(d.dataAddr(page, s), int(d.cfg.RMWBlock/64), true, nil)
-		})
+		f := d.fills.Get()
+		*f = fillOp{d: d, page: page, sector: s}
+		d.mediaAccessPri(page*d.cfg.AITLine+uint64(s)*d.cfg.RMWBlock, false, true, dimmFillDone, f)
 	}
+}
+
+func dimmFillDone(a any, err error) {
+	f := a.(*fillOp)
+	d, page, s := f.d, f.page, f.sector
+	d.fills.Put(f)
+	if err != nil {
+		// Poisoned speculative fill: drop it silently — the sector stays
+		// invalid and a later demand read surfaces the fault.
+		return
+	}
+	d.buf.FillSector(page, s)
+	d.dramBurst(d.dataAddr(page, s), int(d.cfg.RMWBlock/64), true, nil, nil)
 }
 
 // aitWrite pushes one full 256B block to the AIT: table read, buffer update
 // (DRAM write), and — in write-through mode — a media write that advances
-// wear. done fires when the block is durable at the media (write-through)
-// or buffered (write-back).
-func (d *DIMM) aitWrite(block uint64, done func()) {
-	page := d.page(block)
-	sector := d.sector(block)
+// wear. done(arg) fires when the block is durable at the media
+// (write-through) or buffered (write-back).
+func (d *DIMM) aitWrite(block uint64, done func(any), arg any) {
+	op := d.newAITOp(block)
+	op.wdone, op.arg = done, arg
 	d.stats.TableReads++
-	if d.histAIT != nil {
-		start := d.eng.Now()
-		inner := done
-		done = func() {
-			d.histAIT.Observe(uint64(float64(d.eng.Now()-start) / dram.CyclesPerNano))
-			inner()
-		}
-	}
 	if d.o.Active() {
 		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: obs.PosIssue,
 			Write: true, Comp: d.comp, Addr: block})
 	}
-	d.eng.After(d.cyc.aitLookup, func() {
-		d.aitWriteLookup(page, sector, block, done)
-	})
+	d.eng.AfterFn(d.cyc.aitLookup, dimmAITWriteTable, op)
 }
 
-// aitWriteLookup continues aitWrite after the lookup-processing delay.
-func (d *DIMM) aitWriteLookup(page uint64, sector int, block uint64, done func()) {
-	d.dramAccess(d.tableAddr(page), false, func() {
-		if !d.buf.Resident(page) {
-			d.allocateAITLine(page)
-		}
-		d.buf.WriteSector(page, sector, !d.cfg.WriteThrough)
-		burst := int(d.cfg.RMWBlock / 64)
-		if d.cfg.WriteThrough {
-			d.dramBurst(d.dataAddr(page, sector), burst, true, nil)
-			// Writes never fault in the model; the error is discarded.
-			d.mediaAccess(block, true, func(error) { done() })
-			return
-		}
-		d.dramBurst(d.dataAddr(page, sector), burst, true, done)
-	})
+func dimmAITWriteTable(a any) {
+	op := a.(*aitOp)
+	op.d.dramBurst(op.d.tableAddr(op.page), 1, false, dimmAITWriteLookup, op)
+}
+
+// dimmAITWriteLookup continues aitWrite after the translation-table access.
+func dimmAITWriteLookup(a any) {
+	op := a.(*aitOp)
+	d := op.d
+	if !d.buf.Resident(op.page) {
+		d.allocateAITLine(op.page)
+	}
+	d.buf.WriteSector(op.page, op.sector, !d.cfg.WriteThrough)
+	burst := int(d.cfg.RMWBlock / 64)
+	if d.cfg.WriteThrough {
+		d.dramBurst(d.dataAddr(op.page, op.sector), burst, true, nil, nil)
+		d.mediaAccess(op.block, true, dimmAITWritten, op)
+		return
+	}
+	d.dramBurst(d.dataAddr(op.page, op.sector), burst, true, dimmAITDone, op)
+}
+
+// dimmAITWritten ends a write-through AIT write at media completion. Writes
+// never fault in the model; the error is discarded.
+func dimmAITWritten(a any, _ error) {
+	op := a.(*aitOp)
+	op.d.aitDone(op, nil)
 }
 
 // --------------------------------------------------------------- write path
@@ -601,7 +738,7 @@ func (d *DIMM) drainStep() {
 			Write: true, Comp: d.comp, Addr: g.Block})
 	}
 	d.writesInFlight++
-	d.processGroup(g, func() { d.writesInFlight-- })
+	d.processGroup(g, dimmWriteDone, d)
 	// Pace the next drain decision by the RMW port.
 	next := d.rmwFree
 	if next <= now {
@@ -610,51 +747,77 @@ func (d *DIMM) drainStep() {
 	d.eng.ScheduleFn(next, dimmDrainStep, d)
 }
 
-// processGroup applies one combined write group to the RMW buffer. Partial
-// groups against absent lines perform the read-modify-write fill first.
-func (d *DIMM) processGroup(g Group, done func()) {
+// groupOp is one drained LSQ group on its way into the RMW buffer.
+type groupOp struct {
+	d        *DIMM
+	block    uint64
+	complete bool
+	done     func(any)
+	arg      any
+}
+
+// processGroup applies one combined write group to the RMW buffer, then
+// calls done(arg). Partial groups against absent lines perform the
+// read-modify-write fill first.
+func (d *DIMM) processGroup(g Group, done func(any), arg any) {
 	at := d.rmwSlot()
-	complete := g.Complete(d.cfg.RMWBlock)
-	d.eng.Schedule(at, func() {
-		// Lazy cache intercept: hot blocks are absorbed by the persistent
-		// write cache, skipping AIT/media wear entirely.
-		if d.lazy != nil && d.lazy.WriteProbe(g.Block) {
-			d.eng.After(d.lazy.writeLat, done)
-			return
-		}
-		if !complete && !d.rmw.Peek(g.Block) {
-			// Read-modify-write: fetch the block, then apply. A poisoned
-			// fill does not block the write: the store overwrites the
-			// unreadable sector (how poison is actually cleared on Optane).
-			d.stats.PartialRMW++
-			if d.o.Active() {
-				d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosMiss,
-					Write: true, Comp: d.comp, Addr: g.Block})
-			}
-			d.aitRead(g.Block, func(error) {
-				d.installRMW(g.Block, !d.cfg.WriteThrough)
-				d.forwardWrite(g.Block, done)
-			})
-			return
-		}
+	op := d.groups.Get()
+	*op = groupOp{d: d, block: g.Block, complete: g.Complete(d.cfg.RMWBlock), done: done, arg: arg}
+	d.eng.ScheduleFn(at, dimmGroupApply, op)
+}
+
+func dimmGroupApply(a any) {
+	op := a.(*groupOp)
+	d := op.d
+	// Lazy cache intercept: hot blocks are absorbed by the persistent
+	// write cache, skipping AIT/media wear entirely.
+	if d.lazy != nil && d.lazy.WriteProbe(op.block) {
+		done, arg := op.done, op.arg
+		d.groups.Put(op)
+		d.eng.AfterFn(d.lazy.writeLat, done, arg)
+		return
+	}
+	if !op.complete && !d.rmw.Peek(op.block) {
+		// Read-modify-write: fetch the block, then apply. A poisoned
+		// fill does not block the write: the store overwrites the
+		// unreadable sector (how poison is actually cleared on Optane).
+		d.stats.PartialRMW++
 		if d.o.Active() {
-			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
-				Write: true, Comp: d.comp, Addr: g.Block})
+			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosMiss,
+				Write: true, Comp: d.comp, Addr: op.block})
 		}
-		d.installRMW(g.Block, !d.cfg.WriteThrough)
-		d.forwardWrite(g.Block, done)
-	})
+		d.aitRead(op.block, dimmGroupFilled, op)
+		return
+	}
+	if d.o.Active() {
+		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
+			Write: true, Comp: d.comp, Addr: op.block})
+	}
+	d.groupInstall(op)
+}
+
+func dimmGroupFilled(a any, _ error) {
+	op := a.(*groupOp)
+	op.d.groupInstall(op)
+}
+
+// groupInstall applies the group's block to the RMW buffer and forwards it.
+func (d *DIMM) groupInstall(op *groupOp) {
+	block, done, arg := op.block, op.done, op.arg
+	d.groups.Put(op)
+	d.installRMW(block, !d.cfg.WriteThrough)
+	d.forwardWrite(block, done, arg)
 }
 
 // forwardWrite propagates a combined block write beyond the RMW buffer
-// according to the write policy.
-func (d *DIMM) forwardWrite(block uint64, done func()) {
+// according to the write policy, then calls done(arg).
+func (d *DIMM) forwardWrite(block uint64, done func(any), arg any) {
 	if d.cfg.WriteThrough {
-		d.aitWrite(block, done)
+		d.aitWrite(block, done, arg)
 		return
 	}
 	d.rmw.MarkDirty(block)
-	d.eng.After(d.cyc.rmwHit, done)
+	d.eng.AfterFn(d.cyc.rmwHit, done, arg)
 }
 
 // ---------------------------------------------------------------- flush
@@ -674,29 +837,6 @@ func (d *DIMM) Flush(done func()) {
 		d.eng.After(d.cyc.lsqEpoch, poll)
 	}
 	d.eng.After(1, poll)
-}
-
-// FlushWriteBack additionally writes back all dirty RMW lines (write-back
-// mode); in write-through mode it is equivalent to Flush.
-func (d *DIMM) FlushWriteBack(done func()) {
-	d.Flush(func() {
-		dirty := d.rmw.DirtyBlocks()
-		if len(dirty) == 0 {
-			done()
-			return
-		}
-		remaining := len(dirty)
-		for _, b := range dirty {
-			b := b
-			d.rmw.Clean(b)
-			d.aitWrite(b, func() {
-				remaining--
-				if remaining == 0 {
-					done()
-				}
-			})
-		}
-	})
 }
 
 // ReadData returns n bytes at addr from the functional store through the
@@ -722,12 +862,20 @@ func (d *DIMM) AdoptPersistent(old *DIMM) {
 type System struct {
 	D   *DIMM
 	eng *sim.Engine
+
+	// readDone / writeDone complete a *mem.Request passed as arg; bound once
+	// so submitting allocates nothing.
+	readDone  func(any, error)
+	writeDone func(any)
 }
 
 // NewSystem builds a standalone single-DIMM system.
 func NewSystem(cfg Config, seed uint64) *System {
 	eng := sim.NewEngine()
-	return &System{D: New(eng, cfg, seed), eng: eng}
+	s := &System{D: New(eng, cfg, seed), eng: eng}
+	s.readDone = func(a any, err error) { a.(*mem.Request).CompleteErr(s.eng.Now(), err) }
+	s.writeDone = func(a any) { a.(*mem.Request).Complete(s.eng.Now()) }
+	return s
 }
 
 // Engine implements mem.System.
@@ -744,7 +892,7 @@ func (s *System) Submit(r *mem.Request) bool {
 	switch r.Op {
 	case mem.OpRead:
 		r.Issued = s.eng.Now()
-		s.D.Read(r.Addr, func(err error) { r.CompleteErr(s.eng.Now(), err) })
+		s.D.Read(r.Addr, s.readDone, r)
 		return true
 	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
 		if !s.D.AcceptWrite(r.Addr, r.Data) {
@@ -752,7 +900,7 @@ func (s *System) Submit(r *mem.Request) bool {
 		}
 		r.Issued = s.eng.Now()
 		// Stores are posted: they complete on LSQ acceptance.
-		s.eng.After(1, func() { r.Complete(s.eng.Now()) })
+		s.eng.AfterFn(1, s.writeDone, r)
 		return true
 	case mem.OpFence:
 		r.Issued = s.eng.Now()

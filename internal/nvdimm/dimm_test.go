@@ -51,7 +51,7 @@ func TestRMWBufferCapacityOverflow(t *testing.T) {
 			at := 0
 			for i := 0; i < blocks; i++ {
 				accs = append(accs, mem.Access{Op: mem.OpRead, Addr: uint64(at) * 256, Size: 64})
-				at = perm[at]
+				at = int(perm[at])
 			}
 		}
 		lats := d.RunChain(accs)

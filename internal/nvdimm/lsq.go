@@ -88,20 +88,21 @@ func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
 	return false, true
 }
 
-// compact trims leading tombstones and rebuilds when the hole ratio grows,
-// keeping drain scans O(live).
+// compact drops tombstones in place once they outnumber live entries,
+// keeping drain scans O(live) without reallocating the order slice.
 func (q *LSQ) compact() {
 	if len(q.order) < 2*q.live+8 {
 		return
 	}
-	fresh := make([]lsqSlot, 0, q.live)
+	n := 0
 	for _, s := range q.order {
 		if s.line != lsqTombstone {
-			q.slots[s.line] = len(fresh)
-			fresh = append(fresh, s)
+			q.slots[s.line] = n
+			q.order[n] = s
+			n++
 		}
 	}
-	q.order = fresh
+	q.order = q.order[:n]
 }
 
 // OldestAge returns now minus the enqueue time of the oldest live entry

@@ -23,7 +23,7 @@ func chase(t *testing.T, s *System, region uint64, passes int) float64 {
 	at := 0
 	for i := 0; i < passes*steps; i++ {
 		accs = append(accs, mem.Access{Op: mem.OpRead, Addr: uint64(at) * 64, Size: 64})
-		at = perm[at]
+		at = int(perm[at])
 	}
 	lats := d.RunChain(accs)
 	half := len(lats) / 2

@@ -138,16 +138,17 @@ type CkptIO struct {
 // encodeSnapshot seals the full run state at an idle barrier: a stamp tying
 // the snapshot to its plan, the cut's access index, the total access count,
 // then driver and system state. The stamp is the job hash for job snapshots
-// and the WarmHash for warm snapshots.
-func encodeSnapshot(stamp string, idx, total int, d *mem.Driver, sys *vans.System) ([]byte, error) {
-	var enc ckpt.Enc
+// and the WarmHash for warm snapshots. enc is reset first; one encoder serves
+// every barrier of a run, since Seal copies the payload out.
+func encodeSnapshot(enc *ckpt.Enc, stamp string, idx, total int, d *mem.Driver, sys *vans.System) ([]byte, error) {
+	enc.Reset()
 	enc.String(stamp)
 	enc.U64(uint64(idx))
 	enc.U64(uint64(total))
-	if err := d.SaveState(&enc); err != nil {
+	if err := d.SaveState(enc); err != nil {
 		return nil, err
 	}
-	if err := sys.SaveState(&enc); err != nil {
+	if err := sys.SaveState(enc); err != nil {
 		return nil, err
 	}
 	return ckpt.Seal(enc.Bytes()), nil
@@ -263,9 +264,10 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 		}
 		if io != nil && (io.Sink != nil || io.WarmSink != nil) {
 			total := len(accs)
+			var enc ckpt.Enc
 			pol.Sink = func(i int) error {
 				if i == W && W > 0 && io.WarmSink != nil {
-					snap, err := encodeSnapshot(p.WarmHash(), W, W, d, sys)
+					snap, err := encodeSnapshot(&enc, p.WarmHash(), W, W, d, sys)
 					if err != nil {
 						return err
 					}
@@ -274,7 +276,7 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 				if io.Sink == nil {
 					return nil
 				}
-				snap, err := encodeSnapshot(p.Hash(), i, total, d, sys)
+				snap, err := encodeSnapshot(&enc, p.Hash(), i, total, d, sys)
 				if err != nil {
 					return err
 				}

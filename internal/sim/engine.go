@@ -215,21 +215,23 @@ func (e *Engine) AfterFn(delay Cycle, fn func(any), arg any) {
 	e.ScheduleFn(e.Now()+delay, fn, arg)
 }
 
-// ScheduleHome runs fn at absolute cycle at on the home shard (shard 0),
-// regardless of which shard handle the call goes through. Home events run
-// exclusively, so this is how shard-local code hands a result to cross-shard
-// state: a completion that must invoke a driver callback, decrement a
-// counter shared across channels, or touch the iMC schedules the touching
-// part home instead of doing it in place.
-func (e *Engine) ScheduleHome(at Cycle, fn func()) {
-	e.rootEngine().schedule(e.shard, 0, at, 0, fn, nil, nil)
+// ScheduleHomeFn runs fn(arg) at absolute cycle at on the home shard
+// (shard 0), regardless of which shard handle the call goes through. Home
+// events run exclusively, so this is how shard-local code hands a result to
+// cross-shard state: a completion that must invoke a driver callback,
+// decrement a counter shared across channels, or touch the iMC schedules
+// the touching part home instead of doing it in place. Like ScheduleFn it
+// takes a (func(any), any) pair, so per-access completions cross to home
+// without allocating.
+func (e *Engine) ScheduleHomeFn(at Cycle, fn func(any), arg any) {
+	e.rootEngine().schedule(e.shard, 0, at, 0, nil, fn, arg)
 }
 
-// AfterHome runs fn delay cycles from now on the home shard (see
-// ScheduleHome).
-func (e *Engine) AfterHome(delay Cycle, fn func()) {
+// AfterHomeFn runs fn(arg) delay cycles from now on the home shard (see
+// ScheduleHomeFn).
+func (e *Engine) AfterHomeFn(delay Cycle, fn func(any), arg any) {
 	r := e.rootEngine()
-	r.schedule(e.shard, 0, r.now+delay, 0, fn, nil, nil)
+	r.schedule(e.shard, 0, r.now+delay, 0, nil, fn, arg)
 }
 
 // DeferHome runs fn on the home shard at the current cycle: after the
@@ -251,7 +253,7 @@ func (e *Engine) DeferHome(fn func()) {
 func (e *Engine) schedule(caller, target int32, at Cycle, rid uint64, fn func(), afn func(any), arg any) {
 	if p := e.par; p != nil && p.inRound {
 		if caller == 0 {
-			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHome)")
+			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHomeFn)")
 		}
 		if p.collecting {
 			p.buffer(caller, target, at, rid, fn, afn, arg)

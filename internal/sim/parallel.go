@@ -322,7 +322,7 @@ func (e *Engine) runRound() {
 // no locking is needed.
 func (p *parEngine) buffer(caller, target int32, at Cycle, rid uint64, fn func(), afn func(any), arg any) {
 	if caller == 0 {
-		panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHome)")
+		panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHomeFn)")
 	}
 	b := &p.bufs[caller]
 	b.reqs = append(b.reqs, schedReq{parent: b.cur, target: target, at: at,

@@ -44,6 +44,10 @@ type parTrace struct {
 	peak  int
 }
 
+// runThunk runs a func() handed over as the arg of a (func(any), any)
+// schedule, so closure-built programs can drive the Fn-only home forms.
+func runThunk(a any) { a.(func())() }
+
 // runShardProgram executes the deterministic program derived from seed on a
 // fresh engine with `shards` shards at parallelism par. The drain mode
 // alternates RunUntil cuts, counted RunWhile pumps, and a final Run — the
@@ -87,9 +91,9 @@ func runShardProgram(t *testing.T, seed uint64, shards, par int) parTrace {
 			case 3: // defer to home at this cycle
 				h[s].DeferHome(child(0))
 			case 4: // home, future
-				h[s].AfterHome(delay+1, child(0))
+				h[s].AfterHomeFn(delay+1, runThunk, child(0))
 			case 5: // home, absolute
-				h[s].ScheduleHome(h[s].Now()+delay, child(0))
+				h[s].ScheduleHomeFn(h[s].Now()+delay, runThunk, child(0))
 			default:
 				if s == 0 {
 					// Home context may dispatch to any shard directly.

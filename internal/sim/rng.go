@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator (SplitMix64
 // seeded xorshift128+). Every stochastic choice in the simulators draws from
 // an explicitly seeded RNG so that experiments are bit-reproducible.
@@ -81,11 +83,16 @@ func (r *RNG) Perm(n int) []int {
 // PermCycle returns a random single-cycle permutation of [0, n): following
 // next[i] repeatedly from any start visits every element exactly once before
 // returning to the start. This is exactly the pointer-chasing order used by
-// the LENS microbenchmarks (Sattolo's algorithm).
-func (r *RNG) PermCycle(n int) []int {
-	p := make([]int, n)
+// the LENS microbenchmarks (Sattolo's algorithm). Entries are int32: the
+// pointer-chase generators build one per run over millions of blocks, and
+// half-size entries halve that transient heap.
+func (r *RNG) PermCycle(n int) []int32 {
+	if n > math.MaxInt32 {
+		panic("sim: PermCycle over more than MaxInt32 elements")
+	}
+	p := make([]int32, n)
 	for i := range p {
-		p[i] = i
+		p[i] = int32(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i) // note: i, not i+1 — Sattolo's variant

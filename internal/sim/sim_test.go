@@ -216,7 +216,7 @@ func TestPermCycleIsSingleCycle(t *testing.T) {
 				return false
 			}
 			seen[at] = true
-			at = p[at]
+			at = int(p[at])
 		}
 		return at == 0 // back to start after exactly n hops
 	}

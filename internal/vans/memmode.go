@@ -64,9 +64,20 @@ func (c *nearCache) lookup(line uint64) bool {
 	return ok && got == line
 }
 
+// The near cache sits off the App Direct request path, so it keeps its
+// per-access closures and hands them to the (func(any), any) completion
+// forms of the DRAM controller and the iMC through these trampolines.
+func runThunk(a any) {
+	if f := a.(func()); f != nil {
+		f()
+	}
+}
+
+func runErrThunk(a any, err error) { a.(func(error))(err) }
+
 // dramAccess schedules a near-DRAM access with retry-on-backpressure.
 func (c *nearCache) dramAccess(addr uint64, write bool, done func()) {
-	if !c.dramC.Schedule(addr, write, done) {
+	if !c.dramC.Schedule(addr, write, runThunk, done) {
 		c.eng.After(8, func() { c.dramAccess(addr, write, done) })
 	}
 }
@@ -87,7 +98,7 @@ func (c *nearCache) read(addr uint64, done func(error)) bool {
 		return true
 	}
 	c.misses++
-	if !c.imc.Read(line, func(err error) {
+	if !c.imc.Read(line, runErrThunk, func(err error) {
 		if err != nil {
 			finish(err)
 			return
@@ -120,7 +131,7 @@ func (c *nearCache) write(addr uint64, done func()) bool {
 		return true
 	}
 	c.misses++
-	if !c.imc.Read(line, func(error) {
+	if !c.imc.Read(line, runErrThunk, func(error) {
 		c.install(line, true)
 		c.dramAccess(line, true, finish)
 	}) {
@@ -139,7 +150,7 @@ func (c *nearCache) install(line uint64, dirty bool) {
 		c.inflight++
 		var push func()
 		push = func() {
-			if !c.imc.Write(victim, nil, func() { c.inflight-- }) {
+			if !c.imc.Write(victim, nil, runThunk, func() { c.inflight-- }) {
 				c.eng.After(32, push)
 			}
 		}

@@ -101,6 +101,12 @@ type System struct {
 	dimms []*nvdimm.DIMM
 	cache *nearCache // Memory mode only
 	o     *obs.Obs   // this system's child observability context (may be nil)
+
+	// readDone / writeDone complete the *mem.Request passed as their arg.
+	// They are bound once per system, so Submit allocates nothing — not
+	// even when the iMC refuses the request and the driver retries.
+	readDone  func(any, error)
+	writeDone func(any)
 }
 
 // New builds a System from cfg (zero fields defaulted).
@@ -115,6 +121,8 @@ func New(cfg Config) *System {
 	cfg.IMC.Interleaved = cfg.Interleaved
 	eng := sim.NewEngine()
 	s := &System{eng: eng, cfg: cfg}
+	s.readDone = func(a any, err error) { a.(*mem.Request).CompleteErr(eng.Now(), err) }
+	s.writeDone = func(a any) { a.(*mem.Request).Complete(eng.Now()) }
 	if cfg.Obs != nil {
 		s.o = cfg.Obs.Child()
 		s.o.AdoptEngine(eng)
@@ -196,13 +204,13 @@ func (s *System) Submit(r *mem.Request) bool {
 	}
 	switch r.Op {
 	case mem.OpRead:
-		ok := s.imc.Read(r.Addr, func(err error) { r.CompleteErr(s.eng.Now(), err) })
+		ok := s.imc.Read(r.Addr, s.readDone, r)
 		if ok {
 			r.Issued = s.eng.Now()
 		}
 		return ok
 	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
-		ok := s.imc.Write(r.Addr, r.Data, func() { r.Complete(s.eng.Now()) })
+		ok := s.imc.Write(r.Addr, r.Data, s.writeDone, r)
 		if ok {
 			r.Issued = s.eng.Now()
 		}
@@ -219,13 +227,13 @@ func (s *System) Submit(r *mem.Request) bool {
 func (s *System) submitMemoryMode(r *mem.Request) bool {
 	switch r.Op {
 	case mem.OpRead:
-		ok := s.cache.read(r.Addr, func(err error) { r.CompleteErr(s.eng.Now(), err) })
+		ok := s.cache.read(r.Addr, func(err error) { s.readDone(r, err) })
 		if ok {
 			r.Issued = s.eng.Now()
 		}
 		return ok
 	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
-		ok := s.cache.write(r.Addr, func() { r.Complete(s.eng.Now()) })
+		ok := s.cache.write(r.Addr, func() { s.writeDone(r) })
 		if ok {
 			r.Issued = s.eng.Now()
 		}

@@ -35,7 +35,7 @@ func (o CloudOptions) withDefaults(defaultFootprint uint64) CloudOptions {
 // pointer-chasing traversals revisit the same links and Pre-translation can
 // train. Node i lives at base + i*nodeStride.
 type chain struct {
-	perm       []int
+	perm       []int32
 	base       uint64
 	nodeStride uint64
 	at         int
@@ -49,7 +49,7 @@ func (c *chain) addrOf(i int) uint64 { return c.base + uint64(i)*c.nodeStride }
 
 // hop emits one dependent load following the chain, optionally mkpt-marked.
 func (c *chain) hop(mkpt bool) cpu.Instr {
-	next := c.perm[c.at]
+	next := int(c.perm[c.at])
 	in := cpu.Instr{
 		IsMem: true, IsLoad: true, DependsOnLoad: true,
 		Addr:     c.addrOf(c.at),

@@ -25,7 +25,7 @@ func ChaseAccesses(regionBytes uint64, maxSteps int, seed uint64) []mem.Access {
 	for i := 0; i < steps; i++ {
 		accs = append(accs, mem.Access{Op: mem.OpRead,
 			Addr: uint64(at) * mem.CacheLine, Size: mem.CacheLine})
-		at = perm[at]
+		at = int(perm[at])
 	}
 	return accs
 }

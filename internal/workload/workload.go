@@ -15,7 +15,7 @@ import (
 
 // Perm returns a deterministic single-cycle permutation over [0, n) for the
 // given seed (a shared helper for pointer-chasing experiment setups).
-func Perm(n int, seed uint64) []int {
+func Perm(n int, seed uint64) []int32 {
 	if n < 1 {
 		return nil
 	}
