@@ -1,9 +1,10 @@
 GO ?= go
 
 # Packages with benchmarks: the figure suite at the root, the event engine
-# microbenchmarks, the observability hot-path (hooks-disabled overhead), and
-# the per-layer request-path rungs (DIMM read miss, on-DIMM DRAM access).
-BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/nvdimm/ ./internal/dram/
+# microbenchmarks, the observability hot-path (hooks-disabled overhead), the
+# per-layer request-path rungs (DIMM read miss, on-DIMM DRAM access), and the
+# CPU substrate (the core over a fixed-latency stub, building the L3).
+BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/
 
 .PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
 
@@ -143,8 +144,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every package and every test under the race detector. The
+# figure suite in internal/exp is the long pole: about 15 minutes on a 2-vCPU
+# host, past go test's 10-minute default, so the timeout is explicit with
+# more than 2x headroom.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -160,6 +160,35 @@ type SlowDRAM struct {
 	wq       int
 	wqMax    int
 	inflight int
+
+	// Completions bound once by NewSlowDRAM, so an access allocates no
+	// closure: readDone and posted complete the *mem.Request passed as
+	// their arg, written retires a drained write, fencePoll completes the
+	// fence passed as its arg once the system drains. retries recycles the
+	// writes a full controller queue turned away.
+	readDone  func(any)
+	posted    func(any)
+	written   func(any)
+	fencePoll func(any)
+	retries   sim.FreeList[slowRetry]
+}
+
+// slowRetry is a posted write waiting for room in the controller queue.
+type slowRetry struct {
+	s    *SlowDRAM
+	addr uint64
+}
+
+// slowPushWrite offers a waiting write to the controller again, every 16
+// cycles until it takes it.
+func slowPushWrite(a any) {
+	w := a.(*slowRetry)
+	s := w.s
+	if !s.ctrl.Schedule(w.addr, true, s.written, nil) {
+		s.eng.AfterFn(16, slowPushWrite, w)
+		return
+	}
+	s.retries.Put(w)
 }
 
 // NewSlowDRAM builds the flavor with a fresh engine.
@@ -172,7 +201,21 @@ func NewSlowDRAM(kind SimKind) *SlowDRAM {
 	// The PCM model keeps no row buffer open (closed-page), giving the flat
 	// latency curve of Figure 3b.
 	cfg.ClosedPage = kind == RamulatorPCM
-	return &SlowDRAM{kind: kind, ctrl: dram.NewController(eng, cfg), eng: eng, wqMax: 16}
+	s := &SlowDRAM{kind: kind, ctrl: dram.NewController(eng, cfg), eng: eng, wqMax: 16}
+	s.readDone = func(a any) {
+		s.inflight--
+		a.(*mem.Request).Complete(eng.Now())
+	}
+	s.posted = func(a any) { a.(*mem.Request).Complete(eng.Now()) }
+	s.written = func(any) { s.wq-- }
+	s.fencePoll = func(a any) {
+		if s.wq != 0 || !s.ctrl.Drained() {
+			eng.AfterFn(16, s.fencePoll, a)
+			return
+		}
+		a.(*mem.Request).Complete(eng.Now())
+	}
+	return s
 }
 
 // Kind returns the simulator flavor.
@@ -192,12 +235,7 @@ func (s *SlowDRAM) Submit(r *mem.Request) bool {
 	now := s.eng.Now()
 	switch r.Op {
 	case mem.OpRead:
-		r2 := &mem.Request{Op: mem.OpRead, Addr: r.Addr, Size: 64}
-		r2.OnDone = func(*mem.Request) {
-			s.inflight--
-			r.Complete(s.eng.Now())
-		}
-		if !s.ctrl.Submit(r2) {
+		if !s.ctrl.Schedule(r.Addr, false, s.readDone, r) {
 			return false
 		}
 		s.inflight++
@@ -211,28 +249,16 @@ func (s *SlowDRAM) Submit(r *mem.Request) bool {
 		r.Issued = now
 		// Posted: complete quickly; drain through the controller behind
 		// the scenes.
-		s.eng.After(dram.NsToCycles(25), func() { r.Complete(s.eng.Now()) })
-		w := &mem.Request{Op: mem.OpWrite, Addr: r.Addr, Size: 64}
-		w.OnDone = func(*mem.Request) { s.wq-- }
-		var push func()
-		push = func() {
-			if !s.ctrl.Submit(w) {
-				s.eng.After(16, push)
-			}
+		s.eng.AfterFn(dram.NsToCycles(25), s.posted, r)
+		if !s.ctrl.Schedule(r.Addr, true, s.written, nil) {
+			w := s.retries.Get()
+			*w = slowRetry{s: s, addr: r.Addr}
+			s.eng.AfterFn(16, slowPushWrite, w)
 		}
-		push()
 		return true
 	case mem.OpFence:
 		r.Issued = now
-		var poll func()
-		poll = func() {
-			if s.wq == 0 && s.ctrl.Drained() {
-				r.Complete(s.eng.Now())
-				return
-			}
-			s.eng.After(16, poll)
-		}
-		s.eng.After(1, poll)
+		s.eng.AfterFn(1, s.fencePoll, r)
 		return true
 	default:
 		return false

@@ -48,17 +48,37 @@ type line struct {
 	lastUse uint64
 }
 
+// chunkLines bounds one chunk of line storage (24 KiB of lines).
+const chunkLines = 1024
+
 // Cache is a set-associative write-back cache. Addresses are physical.
+//
+// A set gets its line storage the first time Fill touches it, so a cache
+// costs memory in proportion to the sets a run touches. slot is the per-set
+// index: 1 + the set's position in the storage, or 0 for a set never filled
+// (Access, Peek and Invalidate report a miss there). Positions are handed
+// out in first-fill order and carved from chunks of 1<<shift sets, which are
+// never copied as the cache grows; only the last chunk may be shorter.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	nsets uint64
-	tick  uint64
-	stats Stats
+	cfg    Config
+	slot   []uint32
+	chunks [][]line
+	shift  uint
+	built  uint32
+	nsets  uint64
+	tick   uint64
+	stats  Stats
 }
 
 // New builds a cache from cfg.
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.init(cfg)
+	return c
+}
+
+// init builds the cache in place (TLBs embed theirs).
+func (c *Cache) init(cfg Config) {
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = 64
 	}
@@ -66,11 +86,11 @@ func New(cfg Config) *Cache {
 		cfg.Ways = 8
 	}
 	n := cfg.Sets()
-	sets := make([][]line, n)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	shift := uint(0)
+	for 2<<shift*cfg.Ways <= chunkLines {
+		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: n}
+	*c = Cache{cfg: cfg, slot: make([]uint32, n), shift: shift, nsets: n}
 }
 
 // Cfg returns the configuration.
@@ -87,10 +107,41 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return block % c.nsets, block / c.nsets
 }
 
+// lines returns the ways of set si, nil if the set was never filled.
+func (c *Cache) lines(si uint64) []line {
+	s := c.slot[si]
+	if s == 0 {
+		return nil
+	}
+	return c.at(s - 1)
+}
+
+// at returns the ways stored at position pos.
+func (c *Cache) at(pos uint32) []line {
+	off := int(pos&(1<<c.shift-1)) * c.cfg.Ways
+	return c.chunks[pos>>c.shift][off : off+c.cfg.Ways]
+}
+
+// build gives set si the next storage position, adding a chunk when the
+// last one is full, and returns its (all invalid) ways.
+func (c *Cache) build(si uint64) []line {
+	pos := c.built
+	c.built++
+	c.slot[si] = pos + 1
+	if k := int(pos >> c.shift); k == len(c.chunks) {
+		sets := uint64(1) << c.shift
+		if rest := c.nsets - uint64(k)<<c.shift; rest < sets {
+			sets = rest
+		}
+		c.chunks = append(c.chunks, make([]line, sets*uint64(c.cfg.Ways)))
+	}
+	return c.at(pos)
+}
+
 // Access looks up addr; write marks the line dirty on hit. It returns hit.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	si, tag := c.index(addr)
-	set := c.sets[si]
+	set := c.lines(si)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.tick++
@@ -109,7 +160,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // Peek reports residency without LRU or stat effects.
 func (c *Cache) Peek(addr uint64) bool {
 	si, tag := c.index(addr)
-	for _, l := range c.sets[si] {
+	for _, l := range c.lines(si) {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -128,7 +179,10 @@ type Victim struct {
 // store miss).
 func (c *Cache) Fill(addr uint64, dirty bool) (v Victim, evicted bool) {
 	si, tag := c.index(addr)
-	set := c.sets[si]
+	set := c.lines(si)
+	if set == nil {
+		set = c.build(si)
+	}
 	c.tick++
 	// Already resident (duplicate fill): refresh only.
 	for i := range set {
@@ -168,7 +222,7 @@ install:
 // dirty (inclusive-hierarchy back-invalidation).
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	si, tag := c.index(addr)
-	set := c.sets[si]
+	set := c.lines(si)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			wasDirty = set[i].dirty
@@ -183,17 +237,16 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 // simulation uses physical addressing, so the TLB tracks only hit/miss
 // behavior and the prefill effect of Pre-translation.
 type TLB struct {
-	c        *Cache
+	c        Cache
 	pageSize uint64
 }
 
 // NewTLB builds a TLB with the given entry count, associativity, and page
 // size.
 func NewTLB(entries, ways int, pageSize uint64) *TLB {
-	return &TLB{
-		c:        New(Config{SizeBytes: uint64(entries), Ways: ways, LineBytes: 1}),
-		pageSize: pageSize,
-	}
+	t := &TLB{pageSize: pageSize}
+	t.c.init(Config{SizeBytes: uint64(entries), Ways: ways, LineBytes: 1})
+	return t
 }
 
 // Lookup probes the translation for addr.

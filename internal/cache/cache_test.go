@@ -217,3 +217,197 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("ResetStats did not clear")
 	}
 }
+
+// refCache is the cache as it was before sets were built lazily: every set
+// allocated up front as its own slice. TestCacheMatchesReference runs it
+// beside Cache as the oracle.
+type refCache struct {
+	cfg   Config
+	sets  [][]line
+	nsets uint64
+	tick  uint64
+	stats Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	n := cfg.Sets()
+	sets := make([][]line, n)
+	for i := range sets {
+		sets[i] = make([]line, cfg.Ways)
+	}
+	return &refCache{cfg: cfg, sets: sets, nsets: n}
+}
+
+func (c *refCache) index(addr uint64) (uint64, uint64) {
+	block := addr / c.cfg.LineBytes
+	return block % c.nsets, block / c.nsets
+}
+
+func (c *refCache) Access(addr uint64, write bool) bool {
+	si, tag := c.index(addr)
+	set := c.sets[si]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			c.tick++
+			set[i].lastUse = c.tick
+			if write {
+				set[i].dirty = true
+			}
+			c.stats.Hits++
+			return true
+		}
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *refCache) Peek(addr uint64) bool {
+	si, tag := c.index(addr)
+	for _, l := range c.sets[si] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(addr uint64, dirty bool) (v Victim, evicted bool) {
+	si, tag := c.index(addr)
+	set := c.sets[si]
+	c.tick++
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].lastUse = c.tick
+			if dirty {
+				set[i].dirty = true
+			}
+			return Victim{}, false
+		}
+	}
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			goto install
+		}
+		if set[i].lastUse < set[victim].lastUse {
+			victim = i
+		}
+	}
+	{
+		old := set[victim]
+		v = Victim{Addr: (old.tag*c.nsets + si) * c.cfg.LineBytes, Dirty: old.dirty}
+		evicted = true
+		c.stats.Evictions++
+		if old.dirty {
+			c.stats.WriteBacks++
+		}
+	}
+install:
+	set[victim] = line{tag: tag, valid: true, dirty: dirty, lastUse: c.tick}
+	return v, evicted
+}
+
+func (c *refCache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
+	si, tag := c.index(addr)
+	set := c.sets[si]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			wasDirty = set[i].dirty
+			set[i] = line{}
+			return wasDirty, true
+		}
+	}
+	return false, false
+}
+
+// TestCacheMatchesReference drives Cache and the up-front reference with the
+// same random operations and requires every result and Stats to agree. The
+// shapes cover the CPU's caches and TLBs (a 12-way STLB with LineBytes 1),
+// a set count that leaves the last storage chunk short, sets too wide for
+// more than one per chunk, direct-mapped and single-set caches. Addresses
+// span a few capacities, so sets are built at scattered times, conflict
+// and evict.
+func TestCacheMatchesReference(t *testing.T) {
+	shapes := []Config{
+		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
+		{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},
+		{SizeBytes: 1536, Ways: 12, LineBytes: 1},
+		{SizeBytes: 64, Ways: 4, LineBytes: 1},
+		{SizeBytes: 200 * 16 * 64, Ways: 16, LineBytes: 64},
+		{SizeBytes: 3 * 1500 * 64, Ways: 1500, LineBytes: 64},
+		{SizeBytes: 4096, Ways: 1, LineBytes: 64},
+		{SizeBytes: 128, Ways: 2, LineBytes: 64},
+	}
+	for si, cfg := range shapes {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := sim.NewRNG(seed*131 + uint64(si))
+			c, ref := New(cfg), newRefCache(cfg)
+			span := 3 * cfg.SizeBytes
+			for op := 0; op < 20000; op++ {
+				addr := rng.Uint64n(span)
+				switch k := rng.Intn(10); {
+				case k < 4:
+					w := rng.Intn(2) == 0
+					if got, want := c.Access(addr, w), ref.Access(addr, w); got != want {
+						t.Fatalf("%+v seed %d op %d: Access(%d,%v) = %v, reference %v", cfg, seed, op, addr, w, got, want)
+					}
+				case k < 7:
+					d := rng.Intn(4) == 0
+					v, ev := c.Fill(addr, d)
+					rv, rev := ref.Fill(addr, d)
+					if v != rv || ev != rev {
+						t.Fatalf("%+v seed %d op %d: Fill(%d,%v) = %+v,%v, reference %+v,%v", cfg, seed, op, addr, d, v, ev, rv, rev)
+					}
+				case k < 8:
+					if got, want := c.Peek(addr), ref.Peek(addr); got != want {
+						t.Fatalf("%+v seed %d op %d: Peek(%d) = %v, reference %v", cfg, seed, op, addr, got, want)
+					}
+				case k < 9:
+					d, p := c.Invalidate(addr)
+					rd, rp := ref.Invalidate(addr)
+					if d != rd || p != rp {
+						t.Fatalf("%+v seed %d op %d: Invalidate(%d) = %v,%v, reference %v,%v", cfg, seed, op, addr, d, p, rd, rp)
+					}
+				default:
+					if rng.Intn(50) == 0 {
+						c.ResetStats()
+						ref.stats = Stats{}
+					}
+				}
+				if c.Stats() != ref.stats {
+					t.Fatalf("%+v seed %d op %d: Stats %+v, reference %+v", cfg, seed, op, c.Stats(), ref.stats)
+				}
+			}
+		}
+	}
+}
+
+// TestCacheBuildsSetsOnFirstFill checks that lookups on untouched sets
+// allocate nothing and that a cache only grows storage when Fill reaches a
+// new set.
+func TestCacheBuildsSetsOnFirstFill(t *testing.T) {
+	c := New(Config{SizeBytes: 32 << 20, Ways: 16, LineBytes: 64})
+	if n := testing.AllocsPerRun(100, func() {
+		c.Access(1<<20, false)
+		c.Peek(2 << 20)
+		c.Invalidate(3 << 20)
+	}); n != 0 {
+		t.Fatalf("lookups on never-filled sets allocate %.1f objects", n)
+	}
+	c.Fill(0, false)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Fill(64*c.nsets, false) // same set, another tag
+		c.Access(0, true)
+	}); n != 0 {
+		t.Fatalf("fills into a built set allocate %.1f objects", n)
+	}
+	if c.built != 1 || len(c.chunks) != 1 {
+		t.Fatalf("built %d sets in %d chunks, want 1 in 1", c.built, len(c.chunks))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		New(Config{SizeBytes: 32 << 20, Ways: 16, LineBytes: 64})
+	}); n > 2 {
+		t.Fatalf("New allocates %.0f objects, want the cache and its index only", n)
+	}
+}

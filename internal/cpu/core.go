@@ -84,23 +84,42 @@ type Core struct {
 	rlb      *RLB
 	preTrans PreTransPort
 
-	// retireRing holds completion tokens of the last ROB instructions.
-	retireRing []*token
+	// toks holds the completion state of the last 4*ROB instructions by
+	// value, one slot per instruction in dispatch order; next is the slot
+	// the next instruction takes, and the slot ROB before it belongs to the
+	// instruction whose retirement bounds the ROB window. Retirement is
+	// drained at least every 4*ROB instructions, so a slot is reused only
+	// after its instruction retired and nothing but lastLoad still reads it
+	// (see claim).
+	toks []token
+	next int
 	// dispatchF is the fractional dispatch clock in engine cycles.
 	dispatchF float64
-	// lastLoad is the most recent load's completion token (dep chains).
+	// lastLoad is the most recent load's completion token (dep chains);
+	// heldLoad keeps its value once its slot in toks is reused.
 	lastLoad *token
+	heldLoad token
 	// outstanding counts memory misses in flight (MSHR limit).
 	outstanding int
+
+	// free recycles memory requests. A request's Meta points at the token
+	// its completion resolves (none for write-backs and RFOs), so onDone,
+	// bound once in New, serves every request without a closure.
+	free   sim.FreeList[mem.Request]
+	onDone func(*mem.Request)
 
 	nextID uint64
 	stats  Stats
 }
 
-// token tracks one instruction's completion.
+// token is one instruction's completion: at is valid once done. extra
+// delays a pending memory completion (an mkpt load that missed the RLB
+// completes that long after its data); class attributes its retire cycles.
 type token struct {
-	done bool
-	at   sim.Cycle
+	at    sim.Cycle
+	extra sim.Cycle
+	done  bool
+	class InstrClass
 }
 
 // PreTransPort abstracts the DIMM-side pre-translation table lookup for a
@@ -130,7 +149,8 @@ func New(cfg Config, sys mem.System) *Core {
 		dtlb: cache.NewTLB(cfg.DTLBEntries, cfg.DTLBWays, cfg.PageSize),
 		stlb: cache.NewTLB(cfg.STLBEntries, cfg.STLBWays, cfg.PageSize),
 	}
-	c.retireRing = make([]*token, cfg.ROB)
+	c.toks = make([]token, 4*cfg.ROB)
+	c.onDone = c.memDone
 	if cfg.RLBEntries > 0 {
 		c.rlb = NewRLB(cfg.RLBEntries)
 	}
@@ -152,6 +172,32 @@ func (c *Core) Stats() Stats {
 	return s
 }
 
+// claim takes the next token slot for an instruction of class. Its previous
+// occupant retired 4*ROB instructions ago, so no completion targets it any
+// more; if it was the last load, its value moves to heldLoad.
+func (c *Core) claim(class InstrClass) *token {
+	t := &c.toks[c.next]
+	if c.next++; c.next == len(c.toks) {
+		c.next = 0
+	}
+	if c.lastLoad == t {
+		c.heldLoad = *t
+		c.lastLoad = &c.heldLoad
+	}
+	*t = token{class: class}
+	return t
+}
+
+// finish resolves tok at cycle at.
+func (t *token) finish(at sim.Cycle) {
+	t.done = true
+	t.at = at
+}
+
+// tokenDone is the engine callback that resolves a token whose completion
+// cycle is already recorded in at.
+func tokenDone(a any) { a.(*token).done = true }
+
 // resolve runs the engine until tok completes.
 func (c *Core) resolve(tok *token) sim.Cycle {
 	if !tok.done {
@@ -163,8 +209,34 @@ func (c *Core) resolve(tok *token) sim.Cycle {
 	return tok.at
 }
 
-// immediate returns a resolved token.
-func immediate(at sim.Cycle) *token { return &token{done: true, at: at} }
+// memDone completes one memory request: it frees the miss slot (fences
+// hold none), resolves the waiting token if any, and recycles the request.
+func (c *Core) memDone(r *mem.Request) {
+	if r.Op != mem.OpFence {
+		c.outstanding--
+	}
+	if t, ok := r.Meta.(*token); ok {
+		if t.extra == 0 {
+			t.finish(r.Done)
+		} else {
+			t.at = r.Done + t.extra
+			c.eng.ScheduleFn(t.at, tokenDone, t)
+		}
+	}
+	c.free.Put(r)
+}
+
+// request returns a recycled request whose completion resolves tok (nil:
+// nobody waits on it).
+func (c *Core) request(op mem.Op, addr uint64, size uint32, tok *token) *mem.Request {
+	c.nextID++
+	r := c.free.Get()
+	*r = mem.Request{ID: c.nextID, Op: op, Addr: addr, Size: size, OnDone: c.onDone}
+	if tok != nil {
+		r.Meta = tok
+	}
+	return r
+}
 
 // submitRetry submits r until accepted, advancing the engine under
 // backpressure.
@@ -178,45 +250,22 @@ func (c *Core) submitRetry(r *mem.Request) {
 	}
 }
 
-// memRead issues a cache-line read at no earlier than `at`, returning a
-// completion token. Counts against MSHRs.
-func (c *Core) memRead(addr uint64, at sim.Cycle) *token {
+// memAccess issues a cache-line read or write at no earlier than `at`,
+// counting against MSHRs; its completion resolves tok (nil for RFOs and
+// write-backs nobody waits on).
+func (c *Core) memAccess(op mem.Op, addr uint64, at sim.Cycle, tok *token) {
 	c.waitMSHR()
 	if c.eng.Now() < at {
 		c.eng.RunUntil(at)
 	}
-	tok := &token{}
-	c.nextID++
+	r := c.request(op, addr, 64, tok)
 	c.outstanding++
-	c.stats.MemReads++
-	r := &mem.Request{ID: c.nextID, Op: mem.OpRead, Addr: addr, Size: 64,
-		OnDone: func(rq *mem.Request) {
-			c.outstanding--
-			tok.done = true
-			tok.at = rq.Done
-		}}
-	c.submitRetry(r)
-	return tok
-}
-
-// memWrite posts a cache-line write (write-back traffic or NT store).
-func (c *Core) memWrite(addr uint64, op mem.Op, at sim.Cycle) *token {
-	c.waitMSHR()
-	if c.eng.Now() < at {
-		c.eng.RunUntil(at)
+	if op == mem.OpRead {
+		c.stats.MemReads++
+	} else {
+		c.stats.MemWrites++
 	}
-	tok := &token{}
-	c.nextID++
-	c.outstanding++
-	c.stats.MemWrites++
-	r := &mem.Request{ID: c.nextID, Op: op, Addr: addr, Size: 64,
-		OnDone: func(rq *mem.Request) {
-			c.outstanding--
-			tok.done = true
-			tok.at = rq.Done
-		}}
 	c.submitRetry(r)
-	return tok
 }
 
 // waitMSHR blocks until a miss slot is free.
@@ -249,32 +298,33 @@ func (c *Core) translate(addr uint64, at sim.Cycle, class InstrClass) sim.Cycle 
 	return at
 }
 
-// lookupHierarchy walks L1->L2->L3, filling on hit path, and returns either
-// (latency, nil) for a hit or (latency-so-far, missToken) after issuing the
-// memory read.
-func (c *Core) loadPath(addr uint64, at sim.Cycle, class InstrClass) *token {
+// loadPath walks L1->L2->L3, filling on the hit path, and resolves tok at
+// the hit latency, or issues the memory read that will resolve it.
+func (c *Core) loadPath(addr uint64, at sim.Cycle, class InstrClass, tok *token) {
 	line := addr &^ 63
 	if c.l1.Access(line, false) {
-		return immediate(at + c.cyc.l1)
+		tok.finish(at + c.cyc.l1)
+		return
 	}
 	at += c.cyc.l1
 	if c.l2.Access(line, false) {
 		c.fillL1(line, false)
-		return immediate(at + c.cyc.l2)
+		tok.finish(at + c.cyc.l2)
+		return
 	}
 	at += c.cyc.l2
 	if c.l3.Access(line, false) {
 		c.fillL1(line, false)
 		c.l2.Fill(line, false)
-		return immediate(at + c.cyc.l3)
+		tok.finish(at + c.cyc.l3)
+		return
 	}
 	at += c.cyc.l3
 	c.stats.ClassLLCMisses[class]++
-	miss := c.memRead(line, at)
+	c.memAccess(mem.OpRead, line, at, tok)
 	// The line installs when data arrives; approximate by installing now
 	// (timing of subsequent hits is unaffected at this model fidelity).
 	c.fillHierarchy(line, false)
-	return miss
 }
 
 // fillL1 installs a line into L1, pushing dirty victims down.
@@ -293,7 +343,7 @@ func (c *Core) fillHierarchy(line uint64, dirty bool) {
 		c.spillL3(v.Addr)
 	}
 	if v, ev := c.l3.Fill(line, false); ev && v.Dirty {
-		c.memWrite(v.Addr, mem.OpWrite, c.eng.Now())
+		c.memAccess(mem.OpWrite, v.Addr, c.eng.Now(), nil)
 	}
 }
 
@@ -301,7 +351,7 @@ func (c *Core) fillHierarchy(line uint64, dirty bool) {
 // displaces a dirty line.
 func (c *Core) spillL3(line uint64) {
 	if v, ev := c.l3.Fill(line, true); ev && v.Dirty {
-		c.memWrite(v.Addr, mem.OpWrite, c.eng.Now())
+		c.memAccess(mem.OpWrite, v.Addr, c.eng.Now(), nil)
 	}
 }
 
@@ -323,17 +373,18 @@ func (c *Core) storePath(addr uint64, at sim.Cycle) {
 	}
 	// RFO: fetch ownership from memory; traffic matters, the store itself
 	// retires from the store buffer.
-	c.memRead(line, at)
+	c.memAccess(mem.OpRead, line, at, nil)
 	c.fillHierarchy(line, true)
 }
 
 // Run executes the workload to completion and returns the statistics.
 func (c *Core) Run(w Workload) Stats {
 	start := c.eng.Now()
-	robIdx := 0
 	c.dispatchF = float64(start)
 	prevRetire := start
-	var pending []pendingRetire
+	// pending counts the instructions since retirement was last drained:
+	// the slots just before c.next, in order.
+	pending := 0
 	for {
 		in, ok := w.Next()
 		if !ok {
@@ -345,34 +396,30 @@ func (c *Core) Run(w Workload) Stats {
 		// ROB window: dispatch cannot pass retirement of the instruction
 		// ROB slots earlier.
 		c.dispatchF += c.cyc.perInstr
-		if old := c.retireRing[robIdx]; old != nil {
-			if at := c.resolve(old); float64(at) > c.dispatchF {
+		if c.stats.Instructions > uint64(c.cfg.ROB) {
+			old := c.next - c.cfg.ROB
+			if old < 0 {
+				old += len(c.toks)
+			}
+			if at := c.resolve(&c.toks[old]); float64(at) > c.dispatchF {
 				c.dispatchF = float64(at)
 			}
 		}
 		dispatch := sim.Cycle(c.dispatchF)
 
-		var done *token
+		done := c.claim(in.Class)
 		switch {
 		case in.Fence:
 			c.stats.Fences++
-			tok := &token{}
-			c.nextID++
-			r := &mem.Request{ID: c.nextID, Op: mem.OpFence,
-				OnDone: func(rq *mem.Request) {
-					tok.done = true
-					tok.at = rq.Done
-				}}
+			r := c.request(mem.OpFence, 0, 0, done)
 			if c.eng.Now() < dispatch {
 				c.eng.RunUntil(dispatch)
 			}
 			c.submitRetry(r)
-			at := c.resolve(tok)
 			// Fences serialize dispatch.
-			if float64(at) > c.dispatchF {
+			if at := c.resolve(done); float64(at) > c.dispatchF {
 				c.dispatchF = float64(at)
 			}
-			done = immediate(at)
 
 		case in.IsMem && in.IsLoad:
 			c.stats.Loads++
@@ -383,12 +430,11 @@ func (c *Core) Run(w Workload) Stats {
 				}
 			}
 			issue = c.translate(in.Addr, issue, in.Class)
-			tok := c.loadPath(in.Addr, issue, in.Class)
+			c.loadPath(in.Addr, issue, in.Class, done)
 			if in.Mkpt {
-				tok = c.mkptLoad(in, tok)
+				c.mkptLoad(in, done)
 			}
-			c.lastLoad = tok
-			done = tok
+			c.lastLoad = done
 
 		case in.IsMem && in.NT:
 			c.stats.Stores++
@@ -399,7 +445,7 @@ func (c *Core) Run(w Workload) Stats {
 				}
 			}
 			issue = c.translate(in.Addr, issue, in.Class)
-			done = c.memWrite(in.Addr, mem.OpWriteNT, issue)
+			c.memAccess(mem.OpWriteNT, in.Addr, issue, done)
 
 		case in.IsMem && in.Clwb:
 			c.stats.Stores++
@@ -408,7 +454,7 @@ func (c *Core) Run(w Workload) Stats {
 			// clwb leaves the line resident but clean; the write-back goes
 			// to the memory system either way in this model.
 			c.l1.Invalidate(line)
-			done = c.memWrite(line, mem.OpClwb, issue)
+			c.memAccess(mem.OpClwb, line, issue, done)
 
 		case in.IsMem:
 			c.stats.Stores++
@@ -420,21 +466,17 @@ func (c *Core) Run(w Workload) Stats {
 			}
 			issue = c.translate(in.Addr, issue, in.Class)
 			c.storePath(in.Addr, issue)
-			done = immediate(issue + c.cyc.l1)
+			done.finish(issue + c.cyc.l1)
 
 		default:
-			done = immediate(dispatch + sim.Cycle(c.cyc.coreCycle))
+			done.finish(dispatch + sim.Cycle(c.cyc.coreCycle))
 		}
-
-		c.retireRing[robIdx] = done
-		robIdx = (robIdx + 1) % len(c.retireRing)
 
 		// In-order retirement attribution is deferred so outstanding loads
 		// overlap (memory-level parallelism); tokens resolve lazily.
-		pending = append(pending, pendingRetire{class: in.Class, tok: done})
-		if len(pending) >= 4*len(c.retireRing) {
+		if pending++; pending >= len(c.toks) {
 			prevRetire = c.drainRetire(pending, prevRetire)
-			pending = pending[:0]
+			pending = 0
 		}
 	}
 	prevRetire = c.drainRetire(pending, prevRetire)
@@ -450,21 +492,24 @@ func (c *Core) Run(w Workload) Stats {
 	return c.Stats()
 }
 
-// pendingRetire defers in-order retirement accounting.
-type pendingRetire struct {
-	class InstrClass
-	tok   *token
-}
-
-// drainRetire resolves queued retirements in order and attributes cycles.
-func (c *Core) drainRetire(pending []pendingRetire, prevRetire sim.Cycle) sim.Cycle {
-	for _, p := range pending {
-		at := c.resolve(p.tok)
+// drainRetire resolves the last n instructions' tokens in order and
+// attributes their retire cycles.
+func (c *Core) drainRetire(n int, prevRetire sim.Cycle) sim.Cycle {
+	i := c.next - n
+	if i < 0 {
+		i += len(c.toks)
+	}
+	for ; n > 0; n-- {
+		t := &c.toks[i]
+		at := c.resolve(t)
 		if at < prevRetire {
 			at = prevRetire
 		}
-		c.stats.ClassCycles[p.class] += at - prevRetire
+		c.stats.ClassCycles[t.class] += at - prevRetire
 		prevRetire = at
+		if i++; i == len(c.toks) {
+			i = 0
+		}
 	}
 	return prevRetire
 }

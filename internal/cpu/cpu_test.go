@@ -279,3 +279,114 @@ func TestSliceWorkloadReset(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
+
+// TestNewAllocatesHandful guards the core's setup cost: a fixed handful of
+// objects (the core, its token ring and bound completion, each cache with
+// its set index, each TLB with its index), however large the caches are —
+// line storage waits for the first fill of each set.
+func TestNewAllocatesHandful(t *testing.T) {
+	sys := dramSystem()
+	big := DefaultConfig()
+	big.L3.SizeBytes = 1 << 30
+	for _, cfg := range []Config{DefaultConfig(), big} {
+		if n := testing.AllocsPerRun(10, func() { New(cfg, sys) }); n > 13 {
+			t.Fatalf("New with a %d MiB L3 allocates %.0f objects, want at most 13",
+				cfg.L3.SizeBytes>>20, n)
+		}
+	}
+}
+
+// TestRunAllocFree checks that a warm core allocates nothing per
+// instruction — no completion tokens, requests or closures — on plain DRAM
+// and on VANS. The mixed workload replays the same lines each run, so every
+// cache set and memory-model structure it needs is built during warm-up.
+func TestRunAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sys  mem.System
+	}{{"dram", dramSystem()}, {"vans", vansSystem()}} {
+		core := New(DefaultConfig(), tc.sys)
+		w := mixedWorkload(4000)
+		for i := 0; i < 3; i++ {
+			w.Reset()
+			core.Run(w)
+		}
+		before := core.Stats()
+		n := testing.AllocsPerRun(5, func() {
+			w.Reset()
+			core.Run(w)
+		})
+		st := core.Stats()
+		if st.MemReads == before.MemReads || st.MemWrites == before.MemWrites {
+			t.Fatalf("%s: warm runs issued no memory traffic", tc.name)
+		}
+		if n != 0 {
+			t.Errorf("%s: warm Run of %d instructions allocates %.0f objects, want 0",
+				tc.name, len(w.Instrs), n)
+		}
+	}
+}
+
+// stubPreTrans is a DIMM-side pre-translation table with a fixed extra
+// latency.
+type stubPreTrans struct {
+	extra sim.Cycle
+	table map[uint64]uint64
+}
+
+func (p *stubPreTrans) Lookup(paddr uint64) (uint64, bool) {
+	pfn, ok := p.table[paddr&^63]
+	return pfn, ok
+}
+func (p *stubPreTrans) Update(paddr, pfn uint64) { p.table[paddr&^63] = pfn }
+func (p *stubPreTrans) ExtraLatency() sim.Cycle  { return p.extra }
+
+// TestMkptRLBMissAddsExtraLatency checks that an mkpt load that misses the
+// RLB completes exactly ExtraLatency() after its data, both when the data
+// is still in flight at dispatch (a memory miss) and when it is already
+// there (an L1 hit behind an earlier load of the same line).
+func TestMkptRLBMissAddsExtraLatency(t *testing.T) {
+	const extra = 37
+	run := func(mkpt, cached bool) sim.Cycle {
+		cfg := DefaultConfig()
+		cfg.RLBEntries = 8
+		core := New(cfg, newIdealMem(300))
+		core.AttachPreTrans(&stubPreTrans{extra: extra, table: map[uint64]uint64{}})
+		w := &SliceWorkload{}
+		if cached {
+			w.Instrs = append(w.Instrs, Instr{IsMem: true, IsLoad: true, Addr: 1 << 20, Class: ClassRead})
+		}
+		w.Instrs = append(w.Instrs, Instr{IsMem: true, IsLoad: true, DependsOnLoad: true,
+			Addr: 1 << 20, Mkpt: mkpt, NextAddr: 5 << 20, Class: ClassRead})
+		st := core.Run(w)
+		if mkpt && (st.MkptMarked != 1 || st.RLBHits != 0) {
+			t.Fatalf("mkpt run: marked %d, RLB hits %d; want 1 marked RLB miss", st.MkptMarked, st.RLBHits)
+		}
+		return st.Cycles
+	}
+	for _, cached := range []bool{false, true} {
+		if plain, marked := run(false, cached), run(true, cached); marked != plain+extra {
+			t.Errorf("cached=%v: mkpt load retired at %d, plain at %d; want +%d", cached, marked, plain, extra)
+		}
+	}
+}
+
+// TestMkptEventsScaleWithLoads checks that Pre-translation costs the engine
+// a bounded number of events per mkpt load — the memory response and the
+// delayed completion — rather than one per cycle a load is in flight.
+func TestMkptEventsScaleWithLoads(t *testing.T) {
+	const loads = 200
+	cfg := DefaultConfig()
+	cfg.RLBEntries = 8
+	m := newIdealMem(2000)
+	core := New(cfg, m)
+	core.AttachPreTrans(&stubPreTrans{extra: 37, table: map[uint64]uint64{}})
+	st := core.Run(chaseWorkload(4*loads, loads, true, 5))
+	if st.MkptMarked != loads || st.RLBHits == loads {
+		t.Fatalf("marked %d loads with %d RLB hits; want %d marked, some RLB misses", st.MkptMarked, st.RLBHits, loads)
+	}
+	if fired := m.eng.Fired(); fired > 2*loads {
+		t.Fatalf("%d mkpt loads over %d cycles fired %d events, want at most %d",
+			loads, st.Cycles, fired, 2*loads)
+	}
+}

@@ -9,11 +9,13 @@ import (
 // mapping a physical address holding a pointer to the page frame number that
 // pointer references.
 type RLB struct {
-	entries  map[uint64]uint64 // paddr (line-aligned) -> pfn
-	capacity int
-	order    []uint64
-	hits     uint64
-	lookups  uint64
+	entries map[uint64]uint64 // paddr (line-aligned) -> pfn
+	// order is the FIFO of resident keys: a ring of capacity entries whose
+	// oldest is at head once the buffer is full.
+	order   []uint64
+	head    int
+	hits    uint64
+	lookups uint64
 }
 
 // NewRLB returns an RLB with the given entry count.
@@ -21,7 +23,7 @@ func NewRLB(entries int) *RLB {
 	if entries < 1 {
 		entries = 1
 	}
-	return &RLB{entries: make(map[uint64]uint64, entries), capacity: entries}
+	return &RLB{entries: make(map[uint64]uint64, entries), order: make([]uint64, 0, entries)}
 }
 
 // key normalizes the pointer location address.
@@ -44,12 +46,16 @@ func (r *RLB) Insert(paddr, pfn uint64) {
 		r.entries[k] = pfn
 		return
 	}
-	if len(r.entries) >= r.capacity && len(r.order) > 0 {
-		delete(r.entries, r.order[0])
-		r.order = r.order[1:]
+	if len(r.order) < cap(r.order) {
+		r.order = append(r.order, k)
+	} else {
+		delete(r.entries, r.order[r.head])
+		r.order[r.head] = k
+		if r.head++; r.head == len(r.order) {
+			r.head = 0
+		}
 	}
 	r.entries[k] = pfn
-	r.order = append(r.order, k)
 }
 
 // Hits and Lookups expose counters.
@@ -66,10 +72,11 @@ func (r *RLB) Lookups() uint64 { return r.lookups }
 //     entry (stale entries are discarded and corrected).
 //  3. On a miss or stale entry, mkpt updates the table after the load.
 //
-// It returns the (possibly extended) completion token of the load.
-func (c *Core) mkptLoad(in Instr, loadTok *token) *token {
+// On an RLB miss it extends tok, the load's completion token, by the extra
+// access.
+func (c *Core) mkptLoad(in Instr, tok *token) {
 	if c.rlb == nil || c.preTrans == nil {
-		return loadTok
+		return
 	}
 	c.stats.MkptMarked++
 	actualPfn := in.NextAddr / c.cfg.PageSize
@@ -84,14 +91,12 @@ func (c *Core) mkptLoad(in Instr, loadTok *token) *token {
 			c.rlb.Insert(in.Addr, actualPfn)
 			c.preTrans.Update(in.Addr, actualPfn)
 		}
-		return loadTok
+		return
 	}
 
 	// RLB miss: the DIMM fetches the pre-translation entry alongside the
 	// data (one extra on-DIMM DRAM access on the load's critical path).
-	extra := c.preTrans.ExtraLatency()
-	out := &token{}
-	resolveAfter(c, loadTok, extra, out)
+	c.extend(tok, c.preTrans.ExtraLatency())
 	if pfn, ok := c.preTrans.Lookup(in.Addr); ok {
 		c.rlb.Insert(in.Addr, pfn)
 		if pfn == actualPfn {
@@ -107,7 +112,6 @@ func (c *Core) mkptLoad(in Instr, loadTok *token) *token {
 		c.preTrans.Update(in.Addr, actualPfn)
 		c.rlb.Insert(in.Addr, actualPfn)
 	}
-	return out
 }
 
 // prefillTLB installs the pointee translation as if delivered with the data.
@@ -116,22 +120,20 @@ func (c *Core) prefillTLB(addr uint64) {
 	c.dtlb.Insert(addr)
 }
 
-// resolveAfter completes out `extra` cycles after base resolves, without
-// blocking the issue path.
-func resolveAfter(c *Core, base *token, extra sim.Cycle, out *token) {
-	if base.done {
-		at := base.at + extra
-		if at <= c.eng.Now() {
-			out.done = true
-			out.at = at
-			return
-		}
-		c.eng.Schedule(at, func() {
-			out.done = true
-			out.at = c.eng.Now()
-		})
+// extend delays tok's completion by extra cycles without blocking the issue
+// path. A load still in flight records the delay for memDone, which
+// schedules the completion when the data arrives; a resolved one completes
+// extra after its resolution, immediately if that time has passed.
+func (c *Core) extend(tok *token, extra sim.Cycle) {
+	if !tok.done {
+		tok.extra = extra
 		return
 	}
-	// Poll cheaply: chain a check after the engine advances.
-	c.eng.After(1, func() { resolveAfter(c, base, extra, out) })
+	at := tok.at + extra
+	tok.at = at
+	if at <= c.eng.Now() {
+		return
+	}
+	tok.done = false
+	c.eng.ScheduleFn(at, tokenDone, tok)
 }

@@ -15,6 +15,36 @@ type MultiChannel struct {
 	wq       int
 	wqMax    int
 	inflight int
+
+	// Completions bound once by NewMultiChannel, so an access allocates no
+	// closure: readDone and posted complete the *mem.Request passed as
+	// their arg, written retires a drained write, fencePoll completes the
+	// fence passed as its arg once the system drains. retries recycles the
+	// writes a full channel queue turned away.
+	readDone  func(any)
+	posted    func(any)
+	written   func(any)
+	fencePoll func(any)
+	retries   sim.FreeList[mcRetry]
+}
+
+// mcRetry is a posted write waiting for room in its channel's queue.
+type mcRetry struct {
+	m     *MultiChannel
+	ch    int
+	local uint64
+}
+
+// mcPushWrite offers a waiting write to its channel again, every 16 cycles
+// until the channel takes it.
+func mcPushWrite(a any) {
+	w := a.(*mcRetry)
+	m := w.m
+	if !m.channels[w.ch].Schedule(w.local, true, m.written, nil) {
+		m.eng.AfterFn(16, mcPushWrite, w)
+		return
+	}
+	m.retries.Put(w)
 }
 
 // MultiChannelConfig configures the system.
@@ -55,6 +85,19 @@ func NewMultiChannel(cfg MultiChannelConfig) *MultiChannel {
 	m := &MultiChannel{eng: eng, ilv: cfg.InterleaveBytes, wqMax: cfg.WriteQueue}
 	for i := 0; i < cfg.Channels; i++ {
 		m.channels = append(m.channels, NewController(eng, cfg.Channel))
+	}
+	m.readDone = func(a any) {
+		m.inflight--
+		a.(*mem.Request).Complete(eng.Now())
+	}
+	m.posted = func(a any) { a.(*mem.Request).Complete(eng.Now()) }
+	m.written = func(any) { m.wq-- }
+	m.fencePoll = func(a any) {
+		if !m.Drained() {
+			eng.AfterFn(16, m.fencePoll, a)
+			return
+		}
+		a.(*mem.Request).Complete(eng.Now())
 	}
 	return m
 }
@@ -108,12 +151,7 @@ func (m *MultiChannel) Submit(r *mem.Request) bool {
 	switch r.Op {
 	case mem.OpRead:
 		ci, local := m.Route(r.Addr)
-		inner := &mem.Request{Op: mem.OpRead, Addr: local, Size: 64,
-			OnDone: func(rq *mem.Request) {
-				m.inflight--
-				r.Complete(m.eng.Now())
-			}}
-		if !m.channels[ci].Submit(inner) {
+		if !m.channels[ci].Schedule(local, false, m.readDone, r) {
 			return false
 		}
 		m.inflight++
@@ -125,29 +163,17 @@ func (m *MultiChannel) Submit(r *mem.Request) bool {
 		}
 		m.wq++
 		r.Issued = now
-		m.eng.After(NsToCycles(20), func() { r.Complete(m.eng.Now()) })
+		m.eng.AfterFn(NsToCycles(20), m.posted, r)
 		ci, local := m.Route(r.Addr)
-		w := &mem.Request{Op: mem.OpWrite, Addr: local, Size: 64,
-			OnDone: func(*mem.Request) { m.wq-- }}
-		var push func()
-		push = func() {
-			if !m.channels[ci].Submit(w) {
-				m.eng.After(16, push)
-			}
+		if !m.channels[ci].Schedule(local, true, m.written, nil) {
+			w := m.retries.Get()
+			*w = mcRetry{m: m, ch: ci, local: local}
+			m.eng.AfterFn(16, mcPushWrite, w)
 		}
-		push()
 		return true
 	case mem.OpFence:
 		r.Issued = now
-		var poll func()
-		poll = func() {
-			if m.Drained() {
-				r.Complete(m.eng.Now())
-				return
-			}
-			m.eng.After(16, poll)
-		}
-		m.eng.After(1, poll)
+		m.eng.AfterFn(1, m.fencePoll, r)
 		return true
 	default:
 		return false

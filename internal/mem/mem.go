@@ -83,8 +83,10 @@ type Request struct {
 	// than a panic). Nil means the access succeeded.
 	Err error
 
-	// Meta lets system-internal layers attach routing state without extra
-	// allocation. External callers must not touch it.
+	// Meta belongs to the issuer: it carries per-request context to OnDone,
+	// so one callback bound once can serve recycled requests without a
+	// closure each (the CPU core points it at the waiting instruction's
+	// completion token). Systems never read or write it.
 	Meta any
 }
 

@@ -142,7 +142,10 @@ type aitLine struct {
 // access granularity), so a line can be partially present after
 // critical-sector-first fills.
 type AITBuffer struct {
-	sets    [][]aitLine
+	// lines holds every set's ways back to back: set i is
+	// lines[i*ways : (i+1)*ways].
+	lines   []aitLine
+	numSets int
 	ways    int
 	sectors int
 	tick    uint64
@@ -162,11 +165,8 @@ func NewAITBuffer(entries, ways int, lineSize, sectorSize uint64) *AITBuffer {
 	if numSets == 0 {
 		numSets = 1
 	}
-	sets := make([][]aitLine, numSets)
-	for i := range sets {
-		sets[i] = make([]aitLine, ways)
-	}
-	return &AITBuffer{sets: sets, ways: ways, sectors: int(lineSize / sectorSize)}
+	return &AITBuffer{lines: make([]aitLine, numSets*ways), numSets: numSets, ways: ways,
+		sectors: int(lineSize / sectorSize)}
 }
 
 // Hits / Misses / SectorMisses expose lookup statistics.
@@ -175,7 +175,8 @@ func (b *AITBuffer) Misses() uint64       { return b.misses }
 func (b *AITBuffer) SectorMisses() uint64 { return b.sectorMiss }
 
 func (b *AITBuffer) set(page uint64) []aitLine {
-	return b.sets[page%uint64(len(b.sets))]
+	base := int(page%uint64(b.numSets)) * b.ways
+	return b.lines[base : base+b.ways]
 }
 
 // find returns the way index holding page, or -1.
@@ -280,11 +281,9 @@ func (b *AITBuffer) missingMask(page uint64) uint16 {
 // DirtyPages returns pages with any dirty sector and their dirty masks.
 func (b *AITBuffer) DirtyPages() map[uint64]uint16 {
 	out := make(map[uint64]uint16)
-	for _, set := range b.sets {
-		for i := range set {
-			if set[i].present && set[i].dirty != 0 {
-				out[set[i].page] = set[i].dirty
-			}
+	for i := range b.lines {
+		if l := &b.lines[i]; l.present && l.dirty != 0 {
+			out[l.page] = l.dirty
 		}
 	}
 	return out

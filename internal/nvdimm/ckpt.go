@@ -121,16 +121,15 @@ func (b *RMWBuffer) LoadState(dec *ckpt.Dec) error {
 // every way of every set as (present, page, valid, dirty, lastUse), then
 // tick, hits, misses, sectorMiss.
 func (b *AITBuffer) SaveState(enc *ckpt.Enc) {
-	enc.U32(uint32(len(b.sets)))
+	enc.U32(uint32(b.numSets))
 	enc.U32(uint32(b.ways))
-	for _, set := range b.sets {
-		for i := range set {
-			enc.Bool(set[i].present)
-			enc.U64(set[i].page)
-			enc.U16(set[i].valid)
-			enc.U16(set[i].dirty)
-			enc.U64(set[i].lastUse)
-		}
+	for i := range b.lines {
+		l := &b.lines[i]
+		enc.Bool(l.present)
+		enc.U64(l.page)
+		enc.U16(l.valid)
+		enc.U16(l.dirty)
+		enc.U64(l.lastUse)
 	}
 	enc.U64(b.tick)
 	enc.U64(b.hits)
@@ -145,18 +144,17 @@ func (b *AITBuffer) LoadState(dec *ckpt.Dec) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if sets != len(b.sets) || ways != b.ways {
+	if sets != b.numSets || ways != b.ways {
 		return fmt.Errorf("%w: AIT geometry %dx%d, this buffer %dx%d",
-			ckpt.ErrCorrupt, sets, ways, len(b.sets), b.ways)
+			ckpt.ErrCorrupt, sets, ways, b.numSets, b.ways)
 	}
-	for _, set := range b.sets {
-		for i := range set {
-			set[i].present = dec.Bool()
-			set[i].page = dec.U64()
-			set[i].valid = dec.U16()
-			set[i].dirty = dec.U16()
-			set[i].lastUse = dec.U64()
-		}
+	for i := range b.lines {
+		l := &b.lines[i]
+		l.present = dec.Bool()
+		l.page = dec.U64()
+		l.valid = dec.U16()
+		l.dirty = dec.U16()
+		l.lastUse = dec.U64()
 	}
 	b.tick = dec.U64()
 	b.hits = dec.U64()

@@ -66,21 +66,26 @@ func (z *Zipf) Next() uint64 {
 type Gen struct {
 	budget int
 	emit   func(g *Gen) // refills g.queue with the next operation group
-	queue  []cpu.Instr
-	rng    *sim.RNG
-	state  map[string]uint64
+	// queue[head:] are the instructions not yet returned; once they run
+	// out the array is reused from the start, so a warm Gen never
+	// allocates.
+	queue []cpu.Instr
+	head  int
+	rng   *sim.RNG
+	state map[string]uint64
 }
 
 // Next implements cpu.Workload.
 func (g *Gen) Next() (cpu.Instr, bool) {
-	for len(g.queue) == 0 {
+	for g.head == len(g.queue) {
 		if g.budget <= 0 {
 			return cpu.Instr{}, false
 		}
+		g.queue, g.head = g.queue[:0], 0
 		g.emit(g)
 	}
-	in := g.queue[0]
-	g.queue = g.queue[1:]
+	in := g.queue[g.head]
+	g.head++
 	g.budget--
 	return in, true
 }

@@ -275,3 +275,22 @@ func TestHashMapMix(t *testing.T) {
 		t.Fatalf("mix: loads=%d stores=%d fences=%d", loads, stores, fences)
 	}
 }
+
+// TestGenNextAllocFree checks that a warm generator allocates nothing per
+// instruction: Next reuses the queue array once its instructions are
+// consumed.
+func TestGenNextAllocFree(t *testing.T) {
+	mcf, _ := SPECBenchByName("mcf")
+	gens := map[string]cpu.Workload{"SPEC mcf": SPEC(mcf, 1<<30, 3)}
+	for _, name := range CloudNames() {
+		gens[name] = Cloud(name, CloudOptions{Instructions: 1 << 30, Seed: 3, Mkpt: true})
+	}
+	for name, w := range gens {
+		for i := 0; i < 10000; i++ {
+			w.Next()
+		}
+		if n := testing.AllocsPerRun(5000, func() { w.Next() }); n != 0 {
+			t.Errorf("%s: Next allocates %.2f objects per instruction, want 0", name, n)
+		}
+	}
+}
