@@ -6,15 +6,15 @@ GO ?= go
 # CPU substrate (the core over a fixed-latency stub, building the L3).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/
 
-.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
+.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
 # crash-consistency property test), a short fuzz smoke per target, a
 # single-iteration bench smoke, a trace-export smoke, a checkpoint/restore
-# smoke, a parallel-engine byte-identity smoke, a 3-node cluster smoke, a
-# seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
-ci: vet build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+# smoke, a 3-node cluster smoke, a seeded chaos soak, a fleet-dashboard
+# smoke, and a gofmt check.
+ci: vet build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:
@@ -25,17 +25,6 @@ dash-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/nvmload -dash -dash-out $$tmp/dash.json && \
 	$(GO) run ./cmd/tracecheck -dash $$tmp/dash.json
-
-# par-smoke runs the full figure subset on both engines under the race
-# detector and byte-diffs the outputs: TestParallelByteIdentical renders
-# every canonical figure shape serially and with sharded cycle rounds
-# (-par 2 and 4) and compares canonical result bytes plus job hashes; the
-# sim-level property tests replay randomized cross-shard programs and
-# checkpoint cuts the same way. Both raise GOMAXPROCS internally so the
-# shard workers really run concurrently even on small CI hosts.
-par-smoke:
-	$(GO) test -race -count=1 ./internal/server/ -run 'TestParallelByteIdentical|TestSimParallelExcludedFromHash'
-	$(GO) test -race -count=1 ./internal/sim/ -run 'TestSharded'
 
 # chaos-smoke runs the seeded in-process chaos soak: a 3-node fleet under
 # drops, delays, duplication, slow-drip, a corruption-injecting peer, and a
@@ -145,9 +134,9 @@ test:
 	$(GO) test ./...
 
 # race runs every package and every test under the race detector. The
-# figure suite in internal/exp is the long pole: about 15 minutes on a 2-vCPU
-# host, past go test's 10-minute default, so the timeout is explicit with
-# more than 2x headroom.
+# figure suite in internal/exp is the long pole: about 10 minutes on a 2-vCPU
+# host, at go test's 10-minute default, so the timeout is explicit with
+# ample headroom.
 race:
 	$(GO) test -race -timeout 40m ./...
 

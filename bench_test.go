@@ -5,12 +5,9 @@ package repro
 // reports the headline metric alongside the wall time. Run the paper-scale
 // versions with:  go run ./cmd/experiments -all -scale paper
 import (
-	"runtime"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/exp"
-	"repro/internal/pool"
 )
 
 // runExp executes one registered experiment b.N times.
@@ -75,47 +72,3 @@ func BenchmarkOtherNVRAM(b *testing.B)     { runExp(b, "other-nvram") }
 
 // Thread-scaling contention study.
 func BenchmarkScaling(b *testing.B) { runExp(b, "scaling") }
-
-// Serial-vs-parallel engine variants: the same experiment with engine cycle
-// rounds executed on one goroutine (Par=1) and on four (Par=4). Output is
-// byte-identical either way — these pairs record the wall-clock effect of
-// intra-simulation parallelism in BENCH_quick.json. Both variants run at
-// GOMAXPROCS >= 4 so the comparison isolates the engine mode; on a
-// single-core host the pair degenerates to ~1x (the goroutines time-slice),
-// while multi-core hosts see the per-channel concurrency. The scale is
-// trimmed: the pair measures engine-mode overhead/speedup, not statistics.
-func runExpPar(b *testing.B, id string, par int) {
-	b.Helper()
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	// The pool worker count caps the experiment-internal ForEach fan-out too,
-	// so the Serial variant is truly serial end to end.
-	prevW := pool.SetWorkers(par)
-	defer pool.SetWorkers(prevW)
-	sc := exp.QuickScale()
-	sc.Regions = analysis.LogSpace(256, 1<<20, 2)
-	sc.BlockSizes = analysis.LogSpace(64, 4<<10, 2)
-	sc.Opt.MaxSteps = 1200
-	sc.OverwriteIters = 150
-	sc.Instructions = 15000
-	sc.CloudFootprint = 4 << 20
-	sc.Par = par
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.Run(id, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Series) == 0 && len(r.Tables) == 0 {
-			b.Fatalf("%s produced no output", id)
-		}
-	}
-}
-
-func BenchmarkOtherNVRAMSerial(b *testing.B) { runExpPar(b, "other-nvram", 1) }
-func BenchmarkOtherNVRAMPar4(b *testing.B)   { runExpPar(b, "other-nvram", 4) }
-func BenchmarkFig13dSerial(b *testing.B)     { runExpPar(b, "fig13d", 1) }
-func BenchmarkFig13dPar4(b *testing.B)       { runExpPar(b, "fig13d", 4) }

@@ -13,7 +13,6 @@
 //	          [-hedge-after 0] [-attempt-budget 0] [-dispatch-timeout 0]
 //	          [-quarantine-threshold 0] [-probe-every 0] [-anti-entropy 0]
 //	          [-handicap 0] [-state-dir DIR] [-debug-addr localhost:6060]
-//	          [-sim-parallel 1]
 //
 // -state-dir makes the daemon preemptible: checkpointing jobs write barrier
 // snapshots there, finished results persist across restarts, and SIGTERM
@@ -59,7 +58,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux (debug listener only)
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -67,15 +65,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 )
-
-// resolvePar maps the -sim-parallel flag to a concrete worker count:
-// 0 means "auto" (GOMAXPROCS); the engine treats <= 1 as serial.
-func resolvePar(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 func main() {
 	var (
@@ -100,7 +89,6 @@ func main() {
 		antiEntropy   = flag.Duration("anti-entropy", 0, "background checkpoint-replica repair period (0 disables)")
 		handicap      = flag.Duration("handicap", 0, "artificial delay before each locally simulated job (slow-node demo knob)")
 		stateDir      = flag.String("state-dir", "", "durable state directory for checkpoints and results (empty = in-memory only)")
-		simParallel   = flag.Int("sim-parallel", 1, "goroutines per simulation cycle round (1 = serial, 0 = GOMAXPROCS; results are identical at any setting)")
 		debugAddr     = flag.String("debug-addr", "", "optional pprof listener address, e.g. localhost:6060 (empty disables)")
 	)
 	flag.Parse()
@@ -129,7 +117,6 @@ func main() {
 		BreakerCooldown:  *brkCooldown,
 		Handicap:         *handicap,
 		StateDir:         *stateDir,
-		SimParallel:      resolvePar(*simParallel),
 	})
 
 	// Bind before wiring the cluster so -addr :0 resolves to a concrete

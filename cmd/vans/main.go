@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/fault"
@@ -65,7 +64,6 @@ func main() {
 		ckptEvery   = flag.Int("ckpt-every", 0, "checkpoint every N accesses at engine-idle barriers (0 disables)")
 		ckptOut     = flag.String("checkpoint", "", "write each barrier snapshot to FILE (the file always holds the latest barrier)")
 		restoreFile = flag.String("restore", "", "resume from a snapshot FILE written by -checkpoint (same workload flags required)")
-		par         = flag.Int("par", 1, "goroutines per simulation cycle round (1 = serial, 0 = GOMAXPROCS; output is byte-identical at any setting)")
 	)
 	flag.Parse()
 
@@ -135,12 +133,7 @@ func main() {
 	if err != nil {
 		fatalf(2, "vans: %v", err)
 	}
-	rn := server.NewRunner()
-	rn.SimParallel = *par
-	if *par == 0 {
-		rn.SimParallel = runtime.GOMAXPROCS(0)
-	}
-	res, err := rn.RunAttemptCkpt(context.Background(), p, 0, cio)
+	res, err := server.NewRunner().RunAttemptCkpt(context.Background(), p, 0, cio)
 	if err != nil {
 		fatalf(2, "vans: %v", err)
 	}

@@ -242,8 +242,7 @@ func (c *Core) request(op mem.Op, addr uint64, size uint32, tok *token) *mem.Req
 // backpressure.
 func (c *Core) submitRetry(r *mem.Request) {
 	for !c.sys.Submit(r) {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool { return c.eng.Fired() == fired })
+		c.eng.Step()
 		if c.eng.Pending() == 0 && !c.sys.Submit(r) {
 			panic("cpu: memory system rejected request with no pending events")
 		}
@@ -271,10 +270,7 @@ func (c *Core) memAccess(op mem.Op, addr uint64, at sim.Cycle, tok *token) {
 // waitMSHR blocks until a miss slot is free.
 func (c *Core) waitMSHR() {
 	for c.outstanding >= c.cfg.MSHRs {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool {
-			return c.eng.Fired() == fired && c.outstanding >= c.cfg.MSHRs
-		})
+		c.eng.Step()
 	}
 }
 
@@ -482,8 +478,7 @@ func (c *Core) Run(w Workload) Stats {
 	prevRetire = c.drainRetire(pending, prevRetire)
 	// Drain outstanding background traffic.
 	for c.outstanding > 0 {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool { return c.eng.Fired() == fired })
+		c.eng.Step()
 	}
 	if prevRetire > c.eng.Now() {
 		c.eng.RunUntil(prevRetire)

@@ -78,11 +78,6 @@ type Scale struct {
 	// own child, so one context serves parallel experiments). Results stay
 	// byte-identical: registration and counting never alter simulated timing.
 	Obs *obs.Obs
-	// Par is the intra-simulation parallelism (vans.Config.Parallel) handed
-	// to every VANS instance the experiment builds: how many goroutines may
-	// execute one engine cycle round, drawn from the same pool budget as
-	// experiment-level fan-out. Results are byte-identical at any setting.
-	Par int
 }
 
 // QuickScale shrinks structures 64x: the RMW knee lands at 256B..4KB and the

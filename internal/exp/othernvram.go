@@ -74,7 +74,6 @@ func otherNVRAM(sc Scale) *Result {
 		vcfg := vans.DefaultConfig()
 		vcfg.NV = dev.cfg
 		vcfg.Obs = sc.Obs
-		vcfg.Parallel = sc.Par
 		mk := func() mem.System { return vans.New(vcfg) }
 		rep := lens.BufferProber(mk, lens.BufferProberConfig{
 			Regions:      sc.Regions,

@@ -20,7 +20,6 @@ func vansConfig(sc Scale, dimms int, interleaved bool) vans.Config {
 		cfg.NV.Media.Capacity = 64 << 20
 	}
 	cfg.Obs = sc.Obs
-	cfg.Parallel = sc.Par
 	return cfg
 }
 

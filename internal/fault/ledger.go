@@ -119,13 +119,10 @@ func RunToCut(sys mem.System, accs []mem.Access, window int, cut sim.Cycle) *Led
 	// or before the cut; it reports false when the next event (or silence)
 	// lies beyond the cut — the moment power fails.
 	stepOne := func() bool {
-		at, ok := eng.NextAt()
-		if !ok || at > cut {
+		if at, ok := eng.NextAt(); !ok || at > cut {
 			return false
 		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
-		return true
+		return eng.Step()
 	}
 
 	var id uint64

@@ -121,19 +121,13 @@ type IMC struct {
 	stats    Stats
 }
 
-// New builds an iMC over the given DIMMs (one channel each). Channel i runs
-// on engine shard i+1 and DIMM i must have been constructed on that same
-// shard handle (eng.Shard(i+1)), as vans does — so each channel's
-// queue mechanics (WPQ drain, bus turns, DIMM traffic) may execute
-// concurrently with other channels' inside one cycle round, while everything
-// that touches driver or cross-channel state funnels back through home
-// events. The iMC front doors (Read/Write/Fence/Busy) are called from home
-// context only.
+// New builds an iMC over the given DIMMs (one channel each). The DIMMs must
+// have been built on the same engine.
 func New(eng *sim.Engine, cfg Config, dimms []*nvdimm.DIMM) *IMC {
 	cfg = cfg.withDefaults()
 	m := &IMC{eng: eng, cfg: cfg}
 	for i, d := range dimms {
-		m.channels = append(m.channels, newChannel(eng.Shard(i+1), cfg, d, i))
+		m.channels = append(m.channels, newChannel(eng, cfg, d, i))
 	}
 	return m
 }
@@ -255,7 +249,7 @@ type wpq = nvdimm.LSQ
 
 // Channel couples one WPQ/RPQ pair, a bus, and a DIMM.
 type Channel struct {
-	eng  *sim.Engine // this channel's shard handle (shard index + 1)
+	eng  *sim.Engine
 	cfg  Config
 	dimm *nvdimm.DIMM
 	bus  bus
@@ -281,9 +275,8 @@ type Channel struct {
 	comp     string
 	histWait *obs.Histogram // WPQ residency (enqueue -> drain pop), ns
 
-	// readOps recycles the per-read records. Unlike the rest of the
-	// channel it is home-owned: records are taken in read (called from home
-	// context) and returned by the home completion event.
+	// readOps recycles the per-read records: taken in read, returned by
+	// the completion event.
 	readOps sim.FreeList[chanRead]
 }
 
@@ -348,10 +341,7 @@ func (ch *Channel) read(addr uint64, done func(any, error), arg any) bool {
 				Comp: ch.comp, Addr: addr})
 		}
 		ch.rpqInFlight++
-		// Completion invokes the driver callback, so it runs as a home event;
-		// rpqInFlight is thereby home-owned (bumped here in driver context,
-		// decremented in home completions) and never touched by shard events.
-		ch.eng.AfterHomeFn(ch.readOverCyc/2, chanReadDone, r)
+		ch.eng.AfterFn(ch.readOverCyc/2, chanReadDone, r)
 		return true
 	}
 	ch.rpqInFlight++
@@ -367,15 +357,13 @@ func chanReadIssue(a any) {
 
 // chanReadReturn carries the DIMM's data (or poison) back over the bus.
 // Poison rides the same return transfer as data would: DDR-T signals the
-// error in-band, so timing is unchanged. The bus reservation happens here on
-// the channel's shard; only the final hand-back to the driver crosses to a
-// home event.
+// error in-band, so timing is unchanged.
 func chanReadReturn(a any, err error) {
 	r := a.(*chanRead)
 	ch := r.ch
 	r.err = err
 	ret := ch.bus.acquire(ch.eng.Now(), false)
-	ch.eng.ScheduleHomeFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadDone, r)
+	ch.eng.ScheduleFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadDone, r)
 }
 
 func chanReadDone(a any) {
@@ -410,7 +398,7 @@ func (ch *Channel) write(addr uint64, data []byte, done func(any), arg any) bool
 	}
 	ch.pendingData(addr, data)
 	ch.kickDrain()
-	ch.eng.AfterHomeFn(ch.writeAccCyc, done, arg)
+	ch.eng.AfterFn(ch.writeAccCyc, done, arg)
 	return true
 }
 
@@ -482,10 +470,8 @@ func (ch *Channel) drainPush() {
 	ch.eng.AfterFn(ch.drainCyc, chanDrainStep, ch)
 }
 
-// fence drains the WPQ then flushes the DIMM. done decrements a counter
-// shared across channels (IMC.Fence), so the DIMM's flush notification —
-// which fires inside a shard event — is funneled to a home event at the same
-// cycle before done runs.
+// fence drains the WPQ then flushes the DIMM. done runs one event after the
+// DIMM's flush notification, at the same cycle.
 func (ch *Channel) fence(done func()) {
 	var wait func()
 	wait = func() {
@@ -494,7 +480,7 @@ func (ch *Channel) fence(done func()) {
 			ch.eng.After(ch.drainCyc, wait)
 			return
 		}
-		ch.dimm.Flush(func() { ch.eng.DeferHome(done) })
+		ch.dimm.Flush(func() { ch.eng.Schedule(ch.eng.Now(), done) })
 	}
 	ch.eng.After(1, wait)
 }

@@ -14,9 +14,7 @@ func newIMC(t *testing.T, n int, interleaved bool) (*sim.Engine, *IMC) {
 	nv.Media.Capacity = 32 << 20
 	var dimms []*nvdimm.DIMM
 	for i := 0; i < n; i++ {
-		// DIMM i shares channel i's shard (i+1), mirroring vans construction;
-		// imc.New requires the pairing so DIMM-side schedules stay in-shard.
-		dimms = append(dimms, nvdimm.New(eng.Shard(i+1), nv, uint64(i+1)))
+		dimms = append(dimms, nvdimm.New(eng, nv, uint64(i+1)))
 	}
 	cfg := DefaultConfig()
 	cfg.Interleaved = interleaved

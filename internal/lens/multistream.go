@@ -64,8 +64,7 @@ func MultiStreamBandwidth(mk MakeSystem, streams int, perStream []([]mem.Access)
 			if eng.Pending() == 0 {
 				panic("lens: multistream stalled with no pending events")
 			}
-			fired := eng.Fired()
-			eng.RunWhile(func() bool { return eng.Fired() == fired })
+			eng.Step()
 		}
 	}
 	// Drain all in-flight requests.
@@ -82,8 +81,7 @@ func MultiStreamBandwidth(mk MakeSystem, streams int, perStream []([]mem.Access)
 		if eng.Pending() == 0 {
 			panic("lens: multistream drain stalled")
 		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
+		eng.Step()
 	}
 	elapsed := eng.Now() - start
 	return mem.BandwidthGBs(sys, totalBytes, elapsed)

@@ -35,8 +35,7 @@ type Driver struct {
 	runStart sim.Cycle
 
 	// free recycles requests: each returns to the list once its completion
-	// is accounted, so a warm run allocates none. Completions are home
-	// events, so only home context touches it. inflight counts a windowed
+	// is accounted, so a warm run allocates none. inflight counts a windowed
 	// run's outstanding requests and chainDone flags RunChain's current one;
 	// onWindowDone / onChainDone are the matching OnDone callbacks, bound
 	// once by NewDriver so issuing a request allocates no closure.
@@ -154,8 +153,7 @@ func (d *Driver) submitBlocking(r *Request) {
 		if eng.Pending() == 0 {
 			panic("mem: system refused request with no pending events (model deadlock)")
 		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
+		eng.Step()
 	}
 }
 
@@ -239,8 +237,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 				if eng.Pending() == 0 {
 					panic("mem: barrier drain stalled with no pending events (model deadlock)")
 				}
-				fired := eng.Fired()
-				eng.RunWhile(func() bool { return eng.Fired() == fired })
+				eng.Step()
 			}
 			eng.Run()
 			if d.ckpt.Sink != nil {
@@ -256,8 +253,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			break
 		}
 		for d.inflight >= window {
-			fired := eng.Fired()
-			eng.RunWhile(func() bool { return eng.Fired() == fired && d.inflight >= window })
+			eng.Step()
 			if d.inflight >= window && eng.Pending() == 0 {
 				panic("mem: window stalled with no pending events (model deadlock)")
 			}
@@ -269,8 +265,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 		if eng.Pending() == 0 {
 			panic("mem: drain stalled with no pending events (model deadlock)")
 		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
+		eng.Step()
 	}
 	return eng.Now() - start, completed
 }

@@ -76,8 +76,7 @@ type DIMM struct {
 	histAIT     *obs.Histogram
 
 	// Recycled per-access records of the closure-free completion chains
-	// (DESIGN.md §9). Every DIMM event runs on the DIMM's shard, so these
-	// lists are touched by one shard only.
+	// (DESIGN.md §9).
 	reads   sim.FreeList[readOp]
 	aits    sim.FreeList[aitOp]
 	medias  sim.FreeList[mediaOp]

@@ -34,20 +34,18 @@ func SetWorkers(n int) int {
 	return prev
 }
 
-// leased counts extra-worker tokens currently held by parallel stages: sweep
-// fan-out (ForEach) and the engine's intra-simulation rounds (sim.Shard +
-// SetParallel). The budget caps process-wide fan-out at GOMAXPROCS: every
-// stage's calling goroutine participates for free and leases only its extra
-// workers, so nesting — a parallel sweep of simulations that are themselves
-// internally parallel — degrades gracefully to inline execution instead of
-// oversubscribing the machine.
+// leased counts extra-worker tokens currently held by ForEach calls. The
+// budget caps process-wide fan-out at GOMAXPROCS: every call's goroutine
+// participates for free and leases only its extra workers, so nesting — a
+// parallel sweep whose points run parallel sweeps of their own — degrades
+// gracefully to inline execution instead of oversubscribing the machine.
 var leased atomic.Int64
 
-// TryLease grabs up to n extra-worker tokens from the global budget and
+// tryLease grabs up to n extra-worker tokens from the global budget and
 // returns how many it got, possibly 0. It never blocks — callers must run
 // inline with whatever they get (results may not depend on the answer).
-// Pair every successful lease with Release.
-func TryLease(n int) int {
+// Pair every successful lease with release.
+func tryLease(n int) int {
 	if n <= 0 {
 		return 0
 	}
@@ -68,8 +66,8 @@ func TryLease(n int) int {
 	}
 }
 
-// Release returns tokens obtained from TryLease.
-func Release(n int) {
+// release returns tokens obtained from tryLease.
+func release(n int) {
 	if n > 0 {
 		leased.Add(int64(-n))
 	}
@@ -77,8 +75,8 @@ func Release(n int) {
 
 // ForEach runs fn(i) for every i in [0, n) and waits for all to finish. The
 // calling goroutine always participates; up to Workers()-1 extra goroutines
-// are leased from the shared budget (TryLease), so nested ForEach calls and
-// intra-simulation rounds share one GOMAXPROCS-wide cap. Iterations must not
+// are leased from the shared budget, so nested ForEach calls share one
+// GOMAXPROCS-wide cap. Iterations must not
 // share mutable state; callers keep determinism by writing results only to
 // slot i. With a single worker — configured or budget-exhausted — it
 // degenerates to a plain loop on the calling goroutine.
@@ -92,7 +90,7 @@ func ForEach(n int, fn func(i int)) {
 	}
 	extra := 0
 	if w > 1 {
-		extra = TryLease(w - 1)
+		extra = tryLease(w - 1)
 	}
 	if extra == 0 {
 		for i := 0; i < n; i++ {
@@ -100,7 +98,7 @@ func ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	defer Release(extra)
+	defer release(extra)
 
 	var (
 		next  atomic.Int64

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -42,4 +43,48 @@ func TestForEachPropagatesPanic(t *testing.T) {
 		}
 	})
 	t.Fatal("ForEach returned despite panic")
+}
+
+// TestNestedForEachStaysInBudget: a sweep of sweeps never holds more than
+// GOMAXPROCS-1 leased workers (so at most GOMAXPROCS goroutines run
+// iterations at once), still visits every index exactly once, and returns
+// every token.
+func TestNestedForEachStaysInBudget(t *testing.T) {
+	const procs, outer, inner = 4, 6, 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer SetWorkers(SetWorkers(procs))
+
+	var hits [outer * inner]atomic.Int32
+	var active, maxActive, maxLeased atomic.Int64
+	raise := func(m *atomic.Int64, v int64) {
+		for {
+			cur := m.Load()
+			if v <= cur || m.CompareAndSwap(cur, v) {
+				return
+			}
+		}
+	}
+	ForEach(outer, func(i int) {
+		ForEach(inner, func(j int) {
+			raise(&maxActive, active.Add(1))
+			raise(&maxLeased, leased.Load())
+			hits[i*inner+j].Add(1)
+			runtime.Gosched()
+			active.Add(-1)
+		})
+	})
+	for k := range hits {
+		if n := hits[k].Load(); n != 1 {
+			t.Fatalf("index (%d, %d) visited %d times", k/inner, k%inner, n)
+		}
+	}
+	if m := maxLeased.Load(); m > procs-1 {
+		t.Fatalf("held %d leased workers, budget is %d", m, procs-1)
+	}
+	if m := maxActive.Load(); m > procs {
+		t.Fatalf("%d iterations ran at once, cap is %d", m, procs)
+	}
+	if n := leased.Load(); n != 0 {
+		t.Fatalf("%d tokens still leased after ForEach returned", n)
+	}
 }

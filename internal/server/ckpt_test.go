@@ -147,13 +147,9 @@ var figureSpecs = map[string]figureSpec{
 // TestRestoreIdentityFigures: for a representative job of every figure
 // experiment, checkpoint mid-run, restore in a fresh runner, and require the
 // canonical result (timings, counters, obs dump) byte-identical to the
-// uninterrupted run. The straight run executes on the parallel engine and the
-// resumed run on the serial one, so the identity also pins that snapshots
-// cross engine modes freely. The completeness check pins the map to the
-// experiment registry so new figures cannot dodge the restore-identity
-// property.
+// uninterrupted run. The completeness check pins the map to the experiment
+// registry so new figures cannot dodge the restore-identity property.
 func TestRestoreIdentityFigures(t *testing.T) {
-	forcePar(t, 8)
 	for _, id := range exp.IDs() {
 		fs, ok := figureSpecs[id]
 		if !ok {
@@ -192,16 +188,14 @@ func TestRestoreIdentityFigures(t *testing.T) {
 				}
 				return nil
 			}}
-			rn1 := NewRunner()
-			rn1.SimParallel = 4
-			straight, err := rn1.RunAttemptCkpt(context.Background(), p, 0, io1)
+			straight, err := NewRunner().RunAttemptCkpt(context.Background(), p, 0, io1)
 			if err != nil {
 				t.Fatalf("straight run: %v", err)
 			}
 			if snap == nil || io1.Saves == 0 {
 				t.Fatalf("no barrier fired (saves=%d); shrink CkptEvery for shape %q", io1.Saves, key)
 			}
-			// Fresh serial runner, restore the parallel run's snapshot, run to
+			// Fresh runner, restore the straight run's snapshot, run to
 			// completion.
 			io2 := &CkptIO{Resume: snap}
 			resumed, err := NewRunner().RunAttemptCkpt(context.Background(), p, 0, io2)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/fault"
 )
 
@@ -112,7 +113,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		}
 	}
 
-	if state, _, opens := s.BreakerState(); state != BreakerOpen || opens != 1 {
+	if state, _, opens := s.BreakerState(); state != breaker.Open || opens != 1 {
 		t.Fatalf("breaker = %q opens=%d, want open opens=1", state, opens)
 	}
 	if _, err := s.Submit(chaseSpec("16K", 20)); !errors.Is(err, ErrBreakerOpen) {
@@ -143,7 +144,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if h.Status != "degraded" || h.Breaker != BreakerOpen {
+	if h.Status != "degraded" || h.Breaker != breaker.Open {
 		t.Errorf("healthz = %+v, want status degraded, breaker open", h)
 	}
 
@@ -157,7 +158,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if st = waitDone(t, s, st.ID); st.State != JobDone {
 		t.Fatalf("probe state = %q, want done (err %q)", st.State, st.Error)
 	}
-	if state, _, _ := s.BreakerState(); state != BreakerClosed {
+	if state, _, _ := s.BreakerState(); state != breaker.Closed {
 		t.Fatalf("breaker after probe = %q, want closed", state)
 	}
 	r2, err := http.Get(ts.URL + "/v1/healthz")

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"repro/internal/breaker"
 )
 
 // Handler returns the nvmserved HTTP API:
@@ -154,7 +156,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case h.Draining:
 		h.Status = "draining"
 		code = http.StatusServiceUnavailable
-	case h.Breaker != BreakerClosed:
+	case h.Breaker != breaker.Closed:
 		// Tripped (or probing) breaker: alive but degraded. 503 lets load
 		// balancers steer traffic away until the engine recovers.
 		h.Status = "degraded"

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/breaker"
 	"repro/internal/obs"
 )
 
@@ -66,7 +67,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	counter("nvmserved_cache_misses_total", "Result cache misses.", snap.CacheMisses)
 	gaugeI("nvmserved_cache_entries", "Results resident in the cache.", snap.CacheEntries)
 	fmt.Fprintf(&b, "# HELP nvmserved_breaker_state Circuit breaker state (one-hot by state label).\n# TYPE nvmserved_breaker_state gauge\n")
-	for _, state := range []string{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
+	for _, state := range []string{breaker.Closed, breaker.Open, breaker.HalfOpen} {
 		v := 0
 		if snap.BreakerState == state {
 			v = 1

@@ -80,12 +80,6 @@ func (r *Result) Canonical() []byte {
 // goroutines, so concurrent jobs are fully isolated and every run is
 // deterministic under its plan.
 type Runner struct {
-	// SimParallel is the intra-simulation parallelism handed to the engine
-	// (vans.Config.Parallel): how many goroutines may execute one cycle
-	// round. <= 1 runs fully serial. Execution-strategy only — results are
-	// byte-identical at every setting, so it is never part of a job hash.
-	SimParallel int
-
 	// checkEvery is how many submissions pass between context polls
 	// (exported knob for tests; 0 uses a default that keeps cancellation
 	// latency well under a millisecond of host time).
@@ -222,7 +216,6 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 
 	cfg := p.VansConfig()
 	cfg.FaultAttempt = attempt
-	cfg.Parallel = rn.SimParallel
 	// Observability context for this attempt. The tracer must attach before
 	// vans.New: children copy the hook set at construction.
 	o := obs.New()
@@ -353,7 +346,6 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 // result (a cut run has no steady-state bandwidth to report).
 func (rn *Runner) runPowerFail(p *Plan, accs []mem.Access, window int) (*Result, error) {
 	cfg := p.VansConfig()
-	cfg.Parallel = rn.SimParallel
 	rep, err := vans.CheckPowerFail(cfg, accs, window,
 		sim.Cycle(p.Fault.PowerFailCycle), p.Seed)
 	if err != nil {

@@ -134,12 +134,6 @@ type Options struct {
 	// interrupted jobs resume from their last snapshot when resubmitted.
 	// Empty disables durability.
 	StateDir string
-	// SimParallel is the intra-simulation parallelism each worker's Runner
-	// uses (engine cycle rounds executed by up to N goroutines, drawn from
-	// the shared pool budget so worker-level and intra-sim fan-out never
-	// oversubscribe GOMAXPROCS). <= 1 runs each simulation serially.
-	// Results and job hashes are unaffected. Default 0 (serial).
-	SimParallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -192,7 +186,11 @@ type Server struct {
 	opts    Options
 	metrics *Metrics
 	cache   *resultCache
-	brk     *breaker.Breaker
+	// brk is the engine circuit breaker: BreakerThreshold consecutive
+	// engine failures (panics, faulted runs) open it, and submissions are
+	// shed at the door until BreakerCooldown passes. State is surfaced on
+	// /v1/healthz.
+	brk *breaker.Breaker
 
 	queue     chan *Job
 	wg        sync.WaitGroup
@@ -274,7 +272,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		metrics:   newMetrics(),
 		cache:     newResultCache(opts.CacheEntries),
-		brk:       newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+		brk:       breaker.New(opts.BreakerThreshold, opts.BreakerCooldown),
 		state:     state,
 		warm:      newWarmCache(),
 		queue:     make(chan *Job, opts.QueueDepth),
@@ -405,7 +403,6 @@ func (s *Server) worker() {
 		s.wg.Done()
 	}()
 	rn := NewRunner()
-	rn.SimParallel = s.opts.SimParallel
 	for j := range s.queue {
 		s.runJob(rn, j)
 	}

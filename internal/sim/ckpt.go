@@ -2,61 +2,50 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ckpt"
 )
 
-// SaveState serializes the engine: the clock (now, seq), the execution
-// counters (fired, peak pending), and every pending event as
-// (at, seq, rid, shard). Field order: now, seq, fired, peak, event count,
-// then events sorted by (at, seq). The shard tag is part of the record so a
-// restored run keeps the exact round structure — and therefore the exact
-// byte output — of an uninterrupted one, on either the serial or the
-// parallel execution path.
-//
-// Only events scheduled through ScheduleRecurring can be saved — a pending
-// plain closure has no identity outside this process, so its presence is an
-// error. The vans driver cuts checkpoints at engine-idle barriers where the
-// queue is empty, which trivially satisfies this; the recurring-ID path
-// exists so mid-burst cuts (pollers in flight) also serialize.
+// pendingRecordBytes is the size of the per-event record (at, seq, callback
+// ID, shard tag) that checkpoint format 3 places after the event count.
+// SaveState always writes a count of 0, so no record is ever present;
+// LoadState sizes the count by it, so a count the remaining bytes cannot
+// hold reports ckpt.ErrTruncated rather than ckpt.ErrCorrupt.
+const pendingRecordBytes = 8 + 8 + 8 + 4
+
+// SaveState serializes an idle engine: the clock (now, seq), the execution
+// counters (fired, peak pending), and a pending-event count of 0. A pending
+// event is a callback with no identity outside this process, so saving one is
+// an error; the vans and optane drivers cut checkpoints at engine-idle
+// barriers, where the queue is empty.
 func (e *Engine) SaveState(enc *ckpt.Enc) error {
+	if e.Pending() > 0 {
+		at, _ := e.NextAt()
+		return fmt.Errorf("sim: %d pending events (earliest at cycle %d) cannot be checkpointed; cut at an idle engine",
+			e.Pending(), at)
+	}
 	enc.U64(uint64(e.now))
 	enc.U64(e.seq)
 	enc.U64(e.fired)
 	enc.U64(uint64(e.peak))
-
-	evs := make([]event, 0, e.Pending())
-	evs = append(evs, e.heap...)
-	evs = append(evs, e.nowq[e.nowHead:]...)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
-	enc.U32(uint32(len(evs)))
-	for i := range evs {
-		if evs[i].ridOf() == 0 {
-			return fmt.Errorf("sim: pending closure event at cycle %d cannot be checkpointed (schedule it via ScheduleRecurring)", evs[i].at)
-		}
-		enc.U64(uint64(evs[i].at))
-		enc.U64(evs[i].seq)
-		enc.U64(evs[i].ridOf())
-		enc.U32(uint32(evs[i].shardOf()))
-	}
+	enc.U32(0)
 	return nil
 }
 
-// LoadState restores state captured by SaveState into an engine whose
-// recurring callbacks have already been re-registered under the same IDs.
-// Pending events are rebuilt from the registry; an event whose ID is not
-// registered is a corrupt or mismatched snapshot.
+// LoadState restores state captured by SaveState. A snapshot claiming
+// pending events is corrupt: SaveState never writes one.
 func (e *Engine) LoadState(dec *ckpt.Dec) error {
 	now := Cycle(dec.U64())
 	seq := dec.U64()
 	fired := dec.U64()
 	peak := int(dec.U64())
-	n := dec.Count(28)
+	n := dec.Count(pendingRecordBytes)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-
+	if n != 0 {
+		return fmt.Errorf("%w: engine snapshot claims %d pending events", ckpt.ErrCorrupt, n)
+	}
 	e.now = now
 	e.seq = seq
 	e.fired = fired
@@ -64,29 +53,6 @@ func (e *Engine) LoadState(dec *ckpt.Dec) error {
 	e.heap = e.heap[:0]
 	e.nowq = e.nowq[:0]
 	e.nowHead = 0
-	for i := 0; i < n; i++ {
-		at := Cycle(dec.U64())
-		evSeq := dec.U64()
-		rid := dec.U64()
-		shard := int32(dec.U32())
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		fn, ok := e.recurring[rid]
-		if !ok {
-			return fmt.Errorf("%w: pending event references unregistered recurring callback %d",
-				ckpt.ErrCorrupt, rid)
-		}
-		if evSeq > seq {
-			return fmt.Errorf("%w: event seq %d beyond engine seq %d", ckpt.ErrCorrupt, evSeq, seq)
-		}
-		// All restored events go through the heap: step() orders strictly by
-		// (at, seq) across heap and FIFO, so the original firing order is
-		// reproduced even for events that lived in the same-cycle FIFO when
-		// captured.
-		e.heapPush(event{at: at, seq: evSeq, tag: mkTag(rid, shard), fn: fn})
-	}
-	e.notePeak()
 	return nil
 }
 

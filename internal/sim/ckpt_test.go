@@ -7,105 +7,56 @@ import (
 	"repro/internal/ckpt"
 )
 
-// recorder is a deterministic workload of interleaved recurring callbacks:
-// each callback appends its (id, cycle) firing to the log and reschedules
-// itself until its budget runs out.
-type recorder struct {
-	eng    *Engine
-	log    []uint64
-	budget map[uint64]int
-	period map[uint64]Cycle
-}
-
-func (r *recorder) register(id uint64, period Cycle, budget int) {
-	r.budget[id] = budget
-	r.period[id] = period
-	r.eng.RegisterRecurring(id, func() {
-		r.log = append(r.log, id<<32|uint64(r.eng.Now()))
-		if r.budget[id] > 0 {
-			r.budget[id]--
-			r.eng.AfterRecurring(r.period[id], id)
-		}
-	})
-}
-
-func newRecorder(eng *Engine) *recorder {
-	r := &recorder{eng: eng, budget: map[uint64]int{}, period: map[uint64]Cycle{}}
-	r.register(1, 3, 20)
-	r.register(2, 5, 12)
-	r.register(3, 7, 9)
-	eng.ScheduleRecurring(1, 1)
-	eng.ScheduleRecurring(2, 2)
-	eng.ScheduleRecurring(2, 3)
-	return r
-}
-
-// TestEngineCheckpointRoundTrip runs half the workload, checkpoints with the
-// queue non-empty, restores into a fresh engine, and requires the combined
-// firing log and final clock to match an uninterrupted run exactly.
+// TestEngineCheckpointRoundTrip runs a workload dry, checkpoints the idle
+// engine, and requires a fresh engine restored from it to carry the same
+// clock and counters and to continue exactly like the original.
 func TestEngineCheckpointRoundTrip(t *testing.T) {
-	straight := NewEngine()
-	sr := newRecorder(straight)
-	straight.Run()
-
 	eng := NewEngine()
-	r := newRecorder(eng)
-	for i := 0; i < 15 && eng.step(); i++ {
+	for i := 0; i < 9; i++ {
+		eng.After(Cycle(3*i+1), func() {})
+		eng.Schedule(Cycle(5*i), func() {})
 	}
-	if eng.Pending() == 0 {
-		t.Fatal("workload exhausted before the cut; deepen it")
-	}
+	eng.Run()
 
 	var enc ckpt.Enc
 	if err := eng.SaveState(&enc); err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	// Mutable recorder state is part of the model; carry it across like a
-	// component's SaveState would.
-	budget := map[uint64]int{}
-	for k, v := range r.budget {
-		budget[k] = v
-	}
-	prefix := append([]uint64(nil), r.log...)
-
 	eng2 := NewEngine()
-	r2 := &recorder{eng: eng2, budget: budget, period: r.period, log: prefix}
-	for id := range r.period {
-		id := id
-		eng2.RegisterRecurring(id, func() {
-			r2.log = append(r2.log, id<<32|uint64(eng2.Now()))
-			if r2.budget[id] > 0 {
-				r2.budget[id]--
-				eng2.AfterRecurring(r2.period[id], id)
-			}
-		})
-	}
 	if err := eng2.LoadState(ckpt.NewDec(enc.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
-	if eng2.Now() != eng.Now() || eng2.Pending() != eng.Pending() {
-		t.Fatalf("restored engine at (%d, %d pending), want (%d, %d)",
-			eng2.Now(), eng2.Pending(), eng.Now(), eng.Pending())
+	if eng2.Now() != eng.Now() || eng2.Fired() != eng.Fired() ||
+		eng2.PeakPending() != eng.PeakPending() || eng2.Pending() != 0 {
+		t.Fatalf("restored engine (now=%d fired=%d peak=%d pending=%d), want (%d %d %d 0)",
+			eng2.Now(), eng2.Fired(), eng2.PeakPending(), eng2.Pending(),
+			eng.Now(), eng.Fired(), eng.PeakPending())
 	}
-	eng2.Run()
 
-	if len(r2.log) != len(sr.log) {
-		t.Fatalf("restored run fired %d callbacks, straight run %d", len(r2.log), len(sr.log))
+	// Both engines continue identically: same firing cycles, same seq order,
+	// same final counters.
+	continueRun := func(e *Engine) []Cycle {
+		var log []Cycle
+		for i := 0; i < 5; i++ {
+			e.After(Cycle(7-i), func() { log = append(log, e.Now()) })
+		}
+		e.Run()
+		return log
 	}
-	for i := range sr.log {
-		if r2.log[i] != sr.log[i] {
-			t.Fatalf("firing %d differs: restored (id=%d, cyc=%d), straight (id=%d, cyc=%d)",
-				i, r2.log[i]>>32, r2.log[i]&0xffffffff, sr.log[i]>>32, sr.log[i]&0xffffffff)
+	a, b := continueRun(eng), continueRun(eng2)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("restored run fired at %v, original at %v", b, a)
 		}
 	}
-	if eng2.Now() != straight.Now() || eng2.Fired() != straight.Fired() {
-		t.Fatalf("restored run ended at (now=%d, fired=%d), straight at (now=%d, fired=%d)",
-			eng2.Now(), eng2.Fired(), straight.Now(), straight.Fired())
+	if eng2.Now() != eng.Now() || eng2.Fired() != eng.Fired() {
+		t.Fatalf("restored run ended at (now=%d, fired=%d), original at (now=%d, fired=%d)",
+			eng2.Now(), eng2.Fired(), eng.Now(), eng.Fired())
 	}
 }
 
-// TestEngineCheckpointRejectsClosures: a pending plain closure has no
-// serializable identity and must fail the save.
+// TestEngineCheckpointRejectsClosures: a pending event has no serializable
+// identity and must fail the save.
 func TestEngineCheckpointRejectsClosures(t *testing.T) {
 	eng := NewEngine()
 	eng.After(10, func() {})
@@ -115,18 +66,20 @@ func TestEngineCheckpointRejectsClosures(t *testing.T) {
 	}
 }
 
-// TestEngineLoadUnregisteredID: restoring without re-registering the
-// callbacks is a corrupt/mismatched snapshot, not a panic.
-func TestEngineLoadUnregisteredID(t *testing.T) {
-	eng := NewEngine()
-	eng.RegisterRecurring(9, func() {})
-	eng.ScheduleRecurring(5, 9)
+// TestEngineLoadRejectsPendingEvents: SaveState always writes a pending
+// count of 0, so a snapshot claiming pending events is corrupt, not a panic.
+func TestEngineLoadRejectsPendingEvents(t *testing.T) {
 	var enc ckpt.Enc
-	if err := eng.SaveState(&enc); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	fresh := NewEngine()
-	err := fresh.LoadState(ckpt.NewDec(enc.Bytes()))
+	enc.U64(5) // now
+	enc.U64(1) // seq
+	enc.U64(0) // fired
+	enc.U64(1) // peak
+	enc.U32(1) // one pending event, with a full record behind it
+	enc.U64(5)
+	enc.U64(1)
+	enc.U64(9)
+	enc.U32(0)
+	err := NewEngine().LoadState(ckpt.NewDec(enc.Bytes()))
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("LoadState = %v, want ErrCorrupt", err)
 	}

@@ -33,7 +33,7 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+Cycle(1+i%511), fn)
-		e.step()
+		e.Step()
 	}
 }
 

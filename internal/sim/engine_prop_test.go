@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // ---------------------------------------------------------------- oracle
@@ -45,7 +46,8 @@ type firing struct {
 }
 
 // TestEnginePropertyVsOracle checks the engine's firing sequence against a
-// container/heap oracle over randomized schedules.
+// container/heap oracle over randomized schedules. Each trial drains partway
+// with RunUntil, then to empty with Run, RunWhile or a Step loop in turn.
 //
 // Every schedule request is logged with its *effective* cycle (the engine
 // clamps requests in the past to Now) in engine seq order: requests made
@@ -98,7 +100,18 @@ func TestEnginePropertyVsOracle(t *testing.T) {
 		for i := 0; i < m; i++ {
 			schedule(Cycle(rng.Intn(300)), 0)
 		}
-		e.Run()
+		switch trial % 3 {
+		case 0:
+			e.Run()
+		case 1:
+			e.RunWhile(func() bool { return true })
+		default:
+			for e.Step() {
+			}
+			if e.Step() {
+				t.Fatalf("trial %d: Step reported an event on an empty engine", trial)
+			}
+		}
 
 		// Replay the log on the oracle: log order is engine seq order, and
 		// effective cycles are pre-clamped, so pushing everything up front
@@ -236,5 +249,16 @@ func TestScheduleFnOrdersWithSchedule(t *testing.T) {
 	}
 	if len(got) != 4 {
 		t.Fatalf("got %v, want [0 1 2 3]", got)
+	}
+}
+
+// TestEventSize pins the event record at six words on 64-bit hosts: the heap
+// copies it on every push, pop and sift.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("event layout is pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(event{}); n != 48 {
+		t.Fatalf("event is %d bytes, want 48", n)
 	}
 }

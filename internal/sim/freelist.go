@@ -8,9 +8,8 @@ package sim
 // allocates.
 //
 // A FreeList is not safe for concurrent use. Each one belongs to a single
-// engine shard and is touched only by that shard's events (or, for home-owned
-// lists, by home events and driver context), which is what keeps parallel
-// rounds race-free.
+// simulation and is touched only by its engine's events and the driver
+// context that runs that engine.
 type FreeList[T any] struct {
 	free []*T
 }

@@ -292,19 +292,6 @@ func TestAccumulatorReset(t *testing.T) {
 	}
 }
 
-func TestGeomean(t *testing.T) {
-	got := Geomean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("Geomean = %v, want 10", got)
-	}
-	if Geomean(nil) != 0 {
-		t.Fatal("Geomean(nil) != 0")
-	}
-	if g := Geomean([]float64{-1, 0, 4}); g != 4 {
-		t.Fatalf("Geomean skipping non-positive = %v, want 4", g)
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotone(t *testing.T) {
 	f := func(seed uint64) bool {

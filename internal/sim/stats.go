@@ -158,19 +158,3 @@ func (a *Accumulator) Summarize() Summary {
 		Max:  a.Max(),
 	}
 }
-
-// Geomean returns the geometric mean of xs, ignoring non-positive values.
-// It returns 0 when no positive values exist.
-func Geomean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}

@@ -62,7 +62,7 @@ func TestReadMissAllocFree(t *testing.T) {
 
 // TestRefusedStoreAllocFree: a store the iMC refuses under WPQ back-pressure
 // leaves nothing behind — the driver retries such a store after every
-// engine round, so each refusal must be free.
+// engine event, so each refusal must be free.
 func TestRefusedStoreAllocFree(t *testing.T) {
 	s := newAllocSystem()
 	onDone := func(*mem.Request) {}

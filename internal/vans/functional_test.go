@@ -44,8 +44,7 @@ func TestRandomizedFunctionalConsistency(t *testing.T) {
 				done := false
 				req.OnDone = func(*mem.Request) { done = true }
 				for !s.Submit(req) {
-					fired := s.Engine().Fired()
-					s.Engine().RunWhile(func() bool { return s.Engine().Fired() == fired })
+					s.Engine().Step()
 				}
 				s.Engine().RunWhile(func() bool { return !done })
 				shadow[a] = v
@@ -101,8 +100,7 @@ func TestInterleavedFunctionalConsistency(t *testing.T) {
 		done := false
 		req.OnDone = func(*mem.Request) { done = true }
 		for !s.Submit(req) {
-			fired := s.Engine().Fired()
-			s.Engine().RunWhile(func() bool { return s.Engine().Fired() == fired })
+			s.Engine().Step()
 		}
 		s.Engine().RunWhile(func() bool { return !done })
 		shadow[a] = v

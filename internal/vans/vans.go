@@ -64,13 +64,6 @@ type Config struct {
 	// own child context, so one parent Obs can safely serve parallel systems.
 	// Runtime-only: never serialized, never part of a config hash.
 	Obs *obs.Obs `json:"-"`
-
-	// Parallel sets how many goroutines may execute one engine cycle round
-	// (<= 1 fully serial). Per-channel events are sharded either way, so
-	// simulation output is byte-identical at every setting — this is an
-	// execution-strategy knob, never semantic. Runtime-only: never
-	// serialized, never part of a config or job hash.
-	Parallel int `json:"-"`
 }
 
 // DefaultConfig returns a single non-interleaved App Direct DIMM, the
@@ -144,19 +137,9 @@ func New(cfg Config) *System {
 			sp.Seed += uint64(i) * 0x9e3779b9
 			nvCfg.Injector = fault.NewInjector(sp, cfg.FaultAttempt)
 		}
-		// DIMM i lives on engine shard i+1, shared with iMC channel i: the
-		// pair's events may run concurrently with other channels' within a
-		// cycle round, with driver-facing completions funneled through home
-		// events (see imc.New).
-		s.dimms = append(s.dimms, nvdimm.New(eng.Shard(i+1), nvCfg, cfg.Seed+uint64(i)*7919))
+		s.dimms = append(s.dimms, nvdimm.New(eng, nvCfg, cfg.Seed+uint64(i)*7919))
 	}
 	s.imc = imc.New(eng, cfg.IMC, s.dimms)
-	eng.SetParallel(cfg.Parallel)
-	if s.o != nil {
-		// Lifecycle tracing appends to a shared buffer; while it is active,
-		// rounds execute inline (same round structure, same output).
-		eng.SetParallelGate(s.o.Active)
-	}
 	if cfg.Mode == MemoryMode {
 		size := cfg.DRAMCacheBytes
 		if size == 0 {

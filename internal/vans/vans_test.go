@@ -126,8 +126,7 @@ func TestFunctionalDataThroughInterleaver(t *testing.T) {
 		done := false
 		req.OnDone = func(*mem.Request) { done = true }
 		for !s.Submit(req) {
-			fired := s.Engine().Fired()
-			s.Engine().RunWhile(func() bool { return s.Engine().Fired() == fired })
+			s.Engine().Step()
 		}
 		s.Engine().RunWhile(func() bool { return !done })
 	}
