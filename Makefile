@@ -6,7 +6,7 @@ GO ?= go
 # CPU substrate (the core over a fixed-latency stub, building the L3).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/
 
-.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
+.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
@@ -108,6 +108,30 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson > $$tmp && \
 	$(GO) run ./cmd/benchjson -diff -tolerance $(BENCH_TOLERANCE) BENCH_quick.json $$tmp
+
+# profile-figure runs one root figure bench once under the CPU profiler and
+# prints the share of CPU samples whose leaf function lies in each model
+# layer: `make profile-figure FIG=Fig4Characterization` (the name after
+# "Benchmark" in bench_test.go). Packages outside the listed layers fold
+# into "other"; the Go runtime (GC, scheduler, memmove) is "runtime".
+FIG ?= Fig4Characterization
+profile-figure:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench '^Benchmark$(FIG)$$' -benchtime 1x \
+		-cpuprofile $$tmp/cpu.prof -o $$tmp/bench.test . > $$tmp/bench.out && \
+	grep -q '^Benchmark$(FIG)' $$tmp/bench.out || { echo "profile-figure: no bench named Benchmark$(FIG)"; exit 1; }; \
+	$(GO) tool pprof -top -nodecount=1000000 -nodefraction=0 $$tmp/bench.test $$tmp/cpu.prof 2>/dev/null | \
+	awk 'BEGIN { n = split("sim dram nvdimm imc media mem cpu cache obs runtime other", order, " ") } \
+		/Total samples/ { total = $$0; sub(/.*Total samples = /, "", total); sub(/ .*/, "", total) } \
+		/^ *[0-9.]+[a-z]*s? +[0-9.]+% / { \
+			share = $$2; sub(/%/, "", share); name = $$6; layer = "other"; \
+			if (name ~ /^runtime[.]/) layer = "runtime"; \
+			else if (match(name, /^repro\/internal\/[a-z]+[.]/)) { \
+				p = substr(name, 16, RLENGTH - 16); \
+				if (p ~ /^(sim|dram|nvdimm|imc|media|mem|cpu|cache|obs)$$/) layer = p }; \
+			got[layer] += share } \
+		END { printf "CPU samples by leaf package (Benchmark$(FIG), %s sampled):\n", total; \
+			for (i = 1; i <= n; i++) printf "  %-8s %5.1f%%\n", order[i], got[order[i]] }'
 
 # fuzz-smoke runs each fuzz target briefly off the checked-in seed corpus —
 # enough to catch parser/validator regressions without stalling the gate.

@@ -44,6 +44,9 @@ type PMEP struct {
 	rng      *sim.RNG
 	pipeFree sim.Cycle
 	inflight int
+	// complete ends the *mem.Request passed as arg; bound once so a submit
+	// schedules it without a closure.
+	complete func(any)
 }
 
 // NewPMEP builds the emulator.
@@ -51,7 +54,9 @@ func NewPMEP(p PMEPParams, seed uint64) *PMEP {
 	if p.LoadNs == 0 {
 		p = DefaultPMEP()
 	}
-	return &PMEP{eng: sim.NewEngine(), p: p, rng: sim.NewRNG(seed)}
+	m := &PMEP{eng: sim.NewEngine(), p: p, rng: sim.NewRNG(seed)}
+	m.complete = m.finish
+	return m
 }
 
 // Engine implements mem.System.
@@ -93,11 +98,14 @@ func (p *PMEP) Submit(r *mem.Request) bool {
 		done = now + 1
 	}
 	p.inflight++
-	p.eng.Schedule(done, func() {
-		p.inflight--
-		r.Complete(p.eng.Now())
-	})
+	p.eng.ScheduleFn(done, p.complete, r)
 	return true
+}
+
+// finish completes one request at its scheduled cycle.
+func (p *PMEP) finish(a any) {
+	p.inflight--
+	a.(*mem.Request).Complete(p.eng.Now())
 }
 
 // SimKind selects a slower-DRAM simulator flavor for SlowDRAM.

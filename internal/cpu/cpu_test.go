@@ -298,15 +298,25 @@ func TestNewAllocatesHandful(t *testing.T) {
 
 // TestRunAllocFree checks that a warm core allocates nothing per
 // instruction — no completion tokens, requests or closures — on plain DRAM
-// and on VANS. The mixed workload replays the same lines each run, so every
+// and on VANS, with and without fences (each one drains the WPQ and flushes
+// the LSQ). The mixed workload replays the same lines each run, so every
 // cache set and memory-model structure it needs is built during warm-up.
 func TestRunAllocFree(t *testing.T) {
+	fenced := mixedWorkload(4000)
+	for i := 8; i < len(fenced.Instrs); i += 64 {
+		fenced.Instrs[i] = Instr{Fence: true}
+	}
 	for _, tc := range []struct {
 		name string
 		sys  mem.System
-	}{{"dram", dramSystem()}, {"vans", vansSystem()}} {
+		w    *SliceWorkload
+	}{
+		{"dram", dramSystem(), mixedWorkload(4000)},
+		{"vans", vansSystem(), mixedWorkload(4000)},
+		{"vans-fenced", vansSystem(), fenced},
+	} {
 		core := New(DefaultConfig(), tc.sys)
-		w := mixedWorkload(4000)
+		w := tc.w
 		for i := 0; i < 3; i++ {
 			w.Reset()
 			core.Run(w)
@@ -319,6 +329,9 @@ func TestRunAllocFree(t *testing.T) {
 		st := core.Stats()
 		if st.MemReads == before.MemReads || st.MemWrites == before.MemWrites {
 			t.Fatalf("%s: warm runs issued no memory traffic", tc.name)
+		}
+		if tc.w == fenced && st.Fences == before.Fences {
+			t.Fatalf("%s: warm runs issued no fences", tc.name)
 		}
 		if n != 0 {
 			t.Errorf("%s: warm Run of %d instructions allocates %.0f objects, want 0",

@@ -117,16 +117,27 @@ func RunToCut(sys mem.System, accs []mem.Access, window int, cut sim.Cycle) *Led
 
 	// stepOne advances the engine by exactly one event if that event is at
 	// or before the cut; it reports false when the next event (or silence)
-	// lies beyond the cut — the moment power fails.
+	// lies beyond the cut — the moment power fails. The parked polls tick
+	// on up to the cut, so the clock stops at the last tick at or before
+	// it, as it would under a poll that re-armed itself.
 	stepOne := func() bool {
 		if at, ok := eng.NextAt(); !ok || at > cut {
+			eng.PassUntil(cut)
 			return false
 		}
 		return eng.Step()
 	}
 
-	var id uint64
+	// One completion bound for the run, a refused request kept for the next
+	// attempt, completed ones recycled: the replay retries after every
+	// engine event, so an attempt must cost nothing.
+	var free sim.FreeList[mem.Request]
 	inflight := 0
+	onDone := func(r *mem.Request) {
+		inflight--
+		free.Put(r)
+	}
+	var r *mem.Request
 	i := 0
 	alive := true
 	for i < len(accs) && alive {
@@ -138,14 +149,16 @@ func RunToCut(sys mem.System, accs []mem.Access, window int, cut sim.Cycle) *Led
 			alive = stepOne()
 			continue
 		}
-		id++
-		r := &mem.Request{ID: id, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
-			OnDone: func(*mem.Request) { inflight-- }}
+		if r == nil {
+			r = free.Get()
+			*r = mem.Request{ID: uint64(i + 1), Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data, OnDone: onDone}
+		}
 		if !sys.Submit(r) {
 			// Backpressure: the write sits in the CPU, outside ADR.
 			alive = stepOne()
 			continue
 		}
+		r = nil
 		if a.Op.IsWrite() {
 			led.record(a.Addr, a.Data)
 		}

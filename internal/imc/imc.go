@@ -6,6 +6,7 @@ package imc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/nvdimm"
@@ -119,6 +120,8 @@ type IMC struct {
 	cfg      Config
 	channels []*Channel
 	stats    Stats
+
+	fences sim.FreeList[imcFence]
 }
 
 // New builds an iMC over the given DIMMs (one channel each). The DIMMs must
@@ -193,17 +196,32 @@ func (m *IMC) Write(addr uint64, data []byte, done func(any), arg any) bool {
 	return m.channels[ch].write(local, data, done, arg)
 }
 
-// Fence drains every WPQ and flushes every DIMM LSQ, then fires done.
-func (m *IMC) Fence(done func()) {
+// imcFence is one fence across every channel.
+type imcFence struct {
+	m         *IMC
+	remaining int
+	done      func(any)
+	arg       any
+}
+
+// Fence drains every WPQ and flushes every DIMM LSQ, then calls done(arg).
+func (m *IMC) Fence(done func(any), arg any) {
 	m.stats.Fences++
-	remaining := len(m.channels)
+	f := m.fences.Get()
+	*f = imcFence{m: m, remaining: len(m.channels), done: done, arg: arg}
 	for _, ch := range m.channels {
-		ch.fence(func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+		ch.fence(imcFenceChanDone, f)
+	}
+}
+
+// imcFenceChanDone retires one channel's part of a fence.
+func imcFenceChanDone(a any) {
+	f := a.(*imcFence)
+	f.remaining--
+	if f.remaining == 0 {
+		done, arg := f.done, f.arg
+		f.m.fences.Put(f)
+		done(arg)
 	}
 }
 
@@ -278,6 +296,10 @@ type Channel struct {
 	// readOps recycles the per-read records: taken in read, returned by
 	// the completion event.
 	readOps sim.FreeList[chanRead]
+
+	// fenceWaits are the fences waiting for the WPQ to drain.
+	fenceWaits []*chanFence
+	fences     sim.FreeList[chanFence]
 }
 
 func newChannel(eng *sim.Engine, cfg Config, d *nvdimm.DIMM, idx int) *Channel {
@@ -467,20 +489,65 @@ func (ch *Channel) drainPush() {
 		return
 	}
 	ch.haveDrain = false
+	if ch.wpq.Empty() {
+		for _, w := range ch.fenceWaits {
+			w.poll.Wake()
+		}
+	}
 	ch.eng.AfterFn(ch.drainCyc, chanDrainStep, ch)
 }
 
-// fence drains the WPQ then flushes the DIMM. done runs one event after the
-// DIMM's flush notification, at the same cycle.
-func (ch *Channel) fence(done func()) {
-	var wait func()
-	wait = func() {
-		if !ch.wpq.Empty() || ch.haveDrain {
-			ch.kickDrain()
-			ch.eng.After(ch.drainCyc, wait)
-			return
-		}
-		ch.dimm.Flush(func() { ch.eng.Schedule(ch.eng.Now(), done) })
+// chanFence is one channel's part of a fence: it waits, parked on the drain
+// interval, until the WPQ is empty and no line is held, then flushes the
+// DIMM.
+type chanFence struct {
+	ch   *Channel
+	poll sim.Poll
+	done func(any)
+	arg  any
+}
+
+// wpqDrained reports whether every accepted store has left the WPQ.
+func (ch *Channel) wpqDrained() bool { return ch.wpq.Empty() && !ch.haveDrain }
+
+// fence drains the WPQ then flushes the DIMM. The check runs one cycle
+// after the call, then every drain interval; its ticks stay parked until
+// drainPush empties the WPQ. While the WPQ holds a store the drain engine
+// is running (write kicks it and only an empty WPQ stops it), so the check
+// has nothing to start. done(arg) runs one event after the DIMM's flush
+// notification, at the same cycle.
+func (ch *Channel) fence(done func(any), arg any) {
+	w := ch.fences.Get()
+	*w = chanFence{ch: ch, done: done, arg: arg}
+	w.poll.Init(ch.eng, ch.drainCyc, chanFenceWait, w)
+	due := sim.Never
+	if ch.wpqDrained() {
+		due = 0
 	}
-	ch.eng.After(1, wait)
+	w.poll.Park(1, due)
+	ch.fenceWaits = append(ch.fenceWaits, w)
+}
+
+func chanFenceWait(a any) {
+	w := a.(*chanFence)
+	ch := w.ch
+	if !ch.wpqDrained() {
+		w.poll.Park(ch.drainCyc, sim.Never)
+		return
+	}
+	i := slices.Index(ch.fenceWaits, w)
+	ch.fenceWaits = slices.Delete(ch.fenceWaits, i, i+1)
+	ch.dimm.Flush(chanFenceFlushed, w)
+}
+
+func chanFenceFlushed(a any) {
+	w := a.(*chanFence)
+	w.ch.eng.ScheduleFn(w.ch.eng.Now(), chanFenceDone, w)
+}
+
+func chanFenceDone(a any) {
+	w := a.(*chanFence)
+	done, arg := w.done, w.arg
+	w.ch.fences.Put(w)
+	done(arg)
 }

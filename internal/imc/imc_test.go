@@ -92,7 +92,7 @@ func TestFenceDrainsEverything(t *testing.T) {
 		m.Write(uint64(i)*64, nil, func(any) {}, nil)
 	}
 	fenced := false
-	m.Fence(func() { fenced = true })
+	m.Fence(func(any) { fenced = true }, nil)
 	eng.Run()
 	if !fenced {
 		t.Fatal("fence never completed")

@@ -22,16 +22,27 @@ func MultiStreamBandwidth(mk MakeSystem, streams int, perStream []([]mem.Access)
 		perStreamWindow = 1
 	}
 
+	// Each stream binds its completion once, keeps a refused request for
+	// its next attempt, and recycles completed requests: the streams retry
+	// after every engine event, so an attempt must cost nothing.
 	type streamState struct {
 		accs     []mem.Access
 		next     int
 		inflight int
+		held     *mem.Request
+		onDone   func(*mem.Request)
 	}
+	var free sim.FreeList[mem.Request]
 	states := make([]*streamState, streams)
 	var totalBytes uint64
 	for i := 0; i < streams; i++ {
-		states[i] = &streamState{accs: perStream[i%len(perStream)]}
-		totalBytes += uint64(len(states[i].accs)) * 64
+		st := &streamState{accs: perStream[i%len(perStream)]}
+		st.onDone = func(r *mem.Request) {
+			st.inflight--
+			free.Put(r)
+		}
+		states[i] = st
+		totalBytes += uint64(len(st.accs)) * 64
 	}
 
 	start := eng.Now()
@@ -44,14 +55,18 @@ func MultiStreamBandwidth(mk MakeSystem, streams int, perStream []([]mem.Access)
 				continue
 			}
 			for st.inflight < perStreamWindow && st.next < len(st.accs) {
-				a := st.accs[st.next]
-				id++
-				stRef := st
-				r := &mem.Request{ID: id, Op: a.Op, Addr: a.Addr, Size: a.Size,
-					OnDone: func(*mem.Request) { stRef.inflight-- }}
+				r := st.held
+				if r == nil {
+					a := st.accs[st.next]
+					id++
+					r = free.Get()
+					*r = mem.Request{ID: id, Op: a.Op, Addr: a.Addr, Size: a.Size, OnDone: st.onDone}
+				}
 				if !sys.Submit(r) {
+					st.held = r
 					break
 				}
+				st.held = nil
 				st.next++
 				st.inflight++
 				progressed = true

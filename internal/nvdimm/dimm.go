@@ -1,6 +1,8 @@
 package nvdimm
 
 import (
+	"slices"
+
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/media"
@@ -50,10 +52,14 @@ type DIMM struct {
 	// rmwFree serializes the RMW buffer port.
 	rmwFree sim.Cycle
 
-	// draining marks the LSQ drain engine as scheduled.
+	// draining marks the LSQ drain engine as scheduled; drain is its parked
+	// poll (see drainStep).
 	draining bool
-	// flushing forces drain regardless of age/occupancy thresholds.
-	flushing int
+	drain    sim.Poll
+	// flushing forces drain regardless of age/occupancy thresholds;
+	// flushWaits are the flushes waiting for the LSQ to empty.
+	flushing   int
+	flushWaits []*flushOp
 
 	readsInFlight  int
 	writesInFlight int // accepted into LSQ but not yet durable at AIT/media
@@ -83,6 +89,7 @@ type DIMM struct {
 	fills   sim.FreeList[fillOp]
 	groups  sim.FreeList[groupOp]
 	retries sim.FreeList[dramRetry]
+	flushes sim.FreeList[flushOp]
 }
 
 // dramRegion layout inside the on-DIMM DRAM: translation table first, then
@@ -124,6 +131,7 @@ func New(eng *sim.Engine, cfg Config, seed uint64) *DIMM {
 		inj:   cfg.Injector,
 	}
 	d.wear = NewWearLeveler(eng, med, trans, cfg.WearThreshold, cyc.migration, seed)
+	d.drain.Init(eng, cyc.lsqEpoch, dimmDrainStep, d)
 	if cfg.Obs != nil {
 		d.o = cfg.Obs
 		d.comp = comp
@@ -314,10 +322,25 @@ func dimmMediaDone(a any) {
 	}
 }
 
-// dimmWriteDone retires one internal write (writesInFlight) of the DIMM
-// passed as arg; dimmWriteDoneErr is its media-continuation form.
-func dimmWriteDone(a any)             { a.(*DIMM).writesInFlight-- }
-func dimmWriteDoneErr(a any, _ error) { a.(*DIMM).writesInFlight-- }
+// dimmWriteDone retires one internal write of the DIMM passed as arg;
+// dimmWriteDoneErr is its media-continuation form.
+func dimmWriteDone(a any)             { a.(*DIMM).writeDone() }
+func dimmWriteDoneErr(a any, _ error) { a.(*DIMM).writeDone() }
+
+// writeDone retires one internal write (writesInFlight). The completion
+// that frees a slot under the cap wakes a drain parked on flow control, and
+// the last one with the LSQ empty wakes the waiting flushes.
+func (d *DIMM) writeDone() {
+	d.writesInFlight--
+	if d.writesInFlight == maxInternalWrites-1 {
+		d.drain.Wake()
+	}
+	if d.writesInFlight == 0 && d.lsq.Empty() {
+		for _, f := range d.flushWaits {
+			f.poll.Wake()
+		}
+	}
+}
 
 // maxInternalWrites bounds LSQ-drain concurrency: the RMW buffer cannot
 // source more outstanding operations than it has ports/entries, and the
@@ -673,8 +696,10 @@ func (d *DIMM) AcceptWrite(addr uint64, data []byte) bool {
 	if data != nil && d.cfg.Functional {
 		d.med.WriteData(d.trans.ToMedia(addr), data)
 	}
-	_ = merged
 	d.kickDrain()
+	if !merged && d.lsq.Len() == d.cfg.LSQHighWater+1 {
+		d.drain.Wake() // occupancy just crossed high water
+	}
 	return true
 }
 
@@ -687,24 +712,42 @@ func (d *DIMM) AcceptWriteData(addr uint64, data []byte) {
 	}
 }
 
-// dimmDrainStep adapts drainStep to the engine's allocation-free recurring
-// callback form (AfterFn): the drain engine fires once per epoch for the
+// dimmDrainStep adapts drainStep to the engine's allocation-free callback
+// form (ScheduleFn and the drain's Poll): the drain engine runs for the
 // whole life of a store burst, so a closure per hop would be a steady
 // allocation stream.
 func dimmDrainStep(a any) { a.(*DIMM).drainStep() }
 
-// kickDrain schedules the LSQ drain engine if idle.
+// kickDrain starts the LSQ drain engine if idle.
 func (d *DIMM) kickDrain() {
 	if d.draining {
 		return
 	}
 	d.draining = true
-	d.eng.AfterFn(d.cyc.lsqEpoch, dimmDrainStep, d)
+	d.parkDrain()
+}
+
+// parkDrain sleeps the drain engine for epochs, parked until a tick can
+// drain. Under the internal-write cap only a completion can change that
+// (writeDone wakes it). Otherwise the next tick is due at once during a
+// flush or above high water, and else when the oldest entry comes of age,
+// or earlier if occupancy crosses high water (AcceptWrite) or a flush
+// starts (Flush). While parked nothing pops the LSQ, so the oldest entry
+// stays put, and a merge into it only delays its age.
+func (d *DIMM) parkDrain() {
+	due := sim.Never
+	if d.writesInFlight < maxInternalWrites {
+		due = 0
+		if d.flushing == 0 && d.lsq.Len() <= d.cfg.LSQHighWater {
+			due = d.lsq.OldestEnq() + d.cyc.lsqAge
+		}
+	}
+	d.drain.Park(d.cyc.lsqEpoch, due)
 }
 
 // drainStep is the LSQ scheduling epoch: drain groups while the occupancy
 // is above high water, an entry is over-age, or a flush is in progress;
-// otherwise sleep one epoch.
+// otherwise sleep one epoch (parked: see parkDrain).
 func (d *DIMM) drainStep() {
 	if d.lsq.Empty() {
 		d.draining = false
@@ -717,7 +760,7 @@ func (d *DIMM) drainStep() {
 	// Flow control: the drain engine never runs ahead of what the RMW/AIT
 	// path can absorb, regardless of the drain trigger.
 	if !mustDrain || d.writesInFlight >= maxInternalWrites {
-		d.eng.AfterFn(d.cyc.lsqEpoch, dimmDrainStep, d)
+		d.parkDrain()
 		return
 	}
 	g, ok := d.lsq.PopGroup()
@@ -821,21 +864,50 @@ func (d *DIMM) forwardWrite(block uint64, done func(any), arg any) {
 
 // ---------------------------------------------------------------- flush
 
-// Flush forces the LSQ to drain and fires done once every accepted write is
-// durable (the mfence semantics the paper observed: mfence flushes the LSQ).
-func (d *DIMM) Flush(done func()) {
+// flushOp is one Flush waiting, parked on the epoch grid, for the LSQ to
+// empty and every internal write to finish.
+type flushOp struct {
+	d    *DIMM
+	poll sim.Poll
+	done func(any)
+	arg  any
+}
+
+// Flush forces the LSQ to drain and calls done(arg) once every accepted
+// write is durable (the mfence semantics the paper observed: mfence flushes
+// the LSQ). The check runs one cycle after the call, then every epoch;
+// its ticks stay parked until writeDone wakes them.
+func (d *DIMM) Flush(done func(any), arg any) {
 	d.flushing++
 	d.kickDrain()
-	var poll func()
-	poll = func() {
-		if d.lsq.Empty() && d.writesInFlight == 0 {
-			d.flushing--
-			done()
-			return
-		}
-		d.eng.After(d.cyc.lsqEpoch, poll)
+	d.drain.Wake()
+	f := d.flushes.Get()
+	*f = flushOp{d: d, done: done, arg: arg}
+	f.poll.Init(d.eng, d.cyc.lsqEpoch, dimmFlushPoll, f)
+	due := sim.Never
+	if d.flushed() {
+		due = 0
 	}
-	d.eng.After(1, poll)
+	f.poll.Park(1, due)
+	d.flushWaits = append(d.flushWaits, f)
+}
+
+// flushed reports whether every accepted write is durable.
+func (d *DIMM) flushed() bool { return d.lsq.Empty() && d.writesInFlight == 0 }
+
+func dimmFlushPoll(a any) {
+	f := a.(*flushOp)
+	d := f.d
+	if !d.flushed() {
+		f.poll.Park(d.cyc.lsqEpoch, sim.Never)
+		return
+	}
+	d.flushing--
+	i := slices.Index(d.flushWaits, f)
+	d.flushWaits = slices.Delete(d.flushWaits, i, i+1)
+	done, arg := f.done, f.arg
+	d.flushes.Put(f)
+	done(arg)
 }
 
 // ReadData returns n bytes at addr from the functional store through the
@@ -862,8 +934,8 @@ type System struct {
 	D   *DIMM
 	eng *sim.Engine
 
-	// readDone / writeDone complete a *mem.Request passed as arg; bound once
-	// so submitting allocates nothing.
+	// readDone / writeDone complete a *mem.Request passed as arg (writeDone
+	// also ends fences); bound once so submitting allocates nothing.
 	readDone  func(any, error)
 	writeDone func(any)
 }
@@ -903,7 +975,7 @@ func (s *System) Submit(r *mem.Request) bool {
 		return true
 	case mem.OpFence:
 		r.Issued = s.eng.Now()
-		s.D.Flush(func() { r.Complete(s.eng.Now()) })
+		s.D.Flush(s.writeDone, r)
 		return true
 	default:
 		return false

@@ -108,12 +108,18 @@ func (q *LSQ) compact() {
 // OldestAge returns now minus the enqueue time of the oldest live entry
 // (0 when empty).
 func (q *LSQ) OldestAge(now sim.Cycle) sim.Cycle {
+	if enq := q.OldestEnq(); q.live > 0 && now > enq {
+		return now - enq
+	}
+	return 0
+}
+
+// OldestEnq returns the enqueue cycle of the oldest live entry, the one
+// OldestAge measures (0 when empty).
+func (q *LSQ) OldestEnq() sim.Cycle {
 	for _, s := range q.order {
 		if s.line != lsqTombstone {
-			if now < s.enq {
-				return 0
-			}
-			return now - s.enq
+			return s.enq
 		}
 	}
 	return 0

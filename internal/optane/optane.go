@@ -234,6 +234,9 @@ type System struct {
 	lastWrite bool
 
 	inflight int
+	// complete ends the *mem.Request passed as arg; bound once in New so a
+	// submit schedules it without a closure.
+	complete func(any)
 
 	// Tails records injected tail events (iteration analysis).
 	Tails uint64
@@ -260,6 +263,7 @@ func New(cfg Config) *System {
 		rng:  sim.NewRNG(cfg.Seed ^ 0x9e3779b9),
 		wear: make(map[uint64]uint64),
 	}
+	s.complete = s.finish
 	for i := 0; i < cfg.DIMMs; i++ {
 		s.wpq = append(s.wpq, newLRUSet(s.p.WPQBytes, 64))
 		s.lsq = append(s.lsq, newLRUSet(s.p.LSQBytes, 64))
@@ -423,15 +427,20 @@ func (s *System) Submit(r *mem.Request) bool {
 		s.o.Emit(obs.Event{Now: now, Stage: obs.StageRequest, Pos: obs.PosIssue,
 			Write: isWrite, Comp: s.comp, Addr: r.Addr, Arg: uint64(done - now)})
 	}
-	s.eng.Schedule(done, func() {
-		s.inflight--
-		if s.o.Active() {
-			s.o.Emit(obs.Event{Now: s.eng.Now(), Stage: obs.StageRequest, Pos: obs.PosComplete,
-				Write: isWrite, Comp: s.comp, Addr: r.Addr})
-		}
-		r.Complete(s.eng.Now())
-	})
+	s.eng.ScheduleFn(done, s.complete, r)
 	return true
+}
+
+// finish completes one request at its scheduled cycle.
+func (s *System) finish(a any) {
+	r := a.(*mem.Request)
+	s.inflight--
+	if s.o.Active() {
+		write := r.Op == mem.OpWriteNT || r.Op == mem.OpWrite || r.Op == mem.OpClwb
+		s.o.Emit(obs.Event{Now: s.eng.Now(), Stage: obs.StageRequest, Pos: obs.PosComplete,
+			Write: write, Comp: s.comp, Addr: r.Addr})
+	}
+	r.Complete(s.eng.Now())
 }
 
 // tailNs injects the wear-leveling tail on every TailEvery-th write to a

@@ -180,3 +180,36 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("reference model not deterministic")
 	}
 }
+
+// TestStreamAllocFree: once warm, loads and stores through the reference
+// model allocate nothing. The completion is bound once per system and
+// scheduled with its request as the argument.
+func TestStreamAllocFree(t *testing.T) {
+	s := New(DefaultConfig())
+	eng := s.Engine()
+	completed := 0
+	onDone := func(*mem.Request) { completed++ }
+	var reqs [16]mem.Request
+	stream := func() {
+		for i := range reqs {
+			op := mem.OpRead
+			if i%2 == 1 {
+				op = mem.OpWriteNT
+			}
+			reqs[i] = mem.Request{Op: op, Addr: uint64(i) * 64, Size: 64, OnDone: onDone}
+			if !s.Submit(&reqs[i]) {
+				t.Fatalf("request %d refused", i)
+			}
+		}
+		eng.Run()
+	}
+	for i := 0; i < 8; i++ {
+		stream()
+	}
+	if avg := testing.AllocsPerRun(100, stream); avg != 0 {
+		t.Fatalf("warm stream of %d requests allocated %.2f objects, want 0", len(reqs), avg)
+	}
+	if want := len(reqs) * (8 + 101); completed != want {
+		t.Fatalf("%d requests completed, want %d", completed, want)
+	}
+}

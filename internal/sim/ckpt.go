@@ -15,10 +15,15 @@ const pendingRecordBytes = 8 + 8 + 8 + 4
 
 // SaveState serializes an idle engine: the clock (now, seq), the execution
 // counters (fired, peak pending), and a pending-event count of 0. A pending
-// event is a callback with no identity outside this process, so saving one is
-// an error; the vans and optane drivers cut checkpoints at engine-idle
-// barriers, where the queue is empty.
+// event or a parked poll is a callback with no identity outside this
+// process, so saving one is an error; the vans and optane drivers cut
+// checkpoints at engine-idle barriers, where the queue is empty and no
+// poll is parked.
 func (e *Engine) SaveState(enc *ckpt.Enc) error {
+	if len(e.parked) > 0 {
+		return fmt.Errorf("sim: %d parked polls (next tick at cycle %d) cannot be checkpointed; cut at an idle engine",
+			len(e.parked), e.parkAt)
+	}
 	if e.Pending() > 0 {
 		at, _ := e.NextAt()
 		return fmt.Errorf("sim: %d pending events (earliest at cycle %d) cannot be checkpointed; cut at an idle engine",
@@ -53,6 +58,10 @@ func (e *Engine) LoadState(dec *ckpt.Dec) error {
 	e.heap = e.heap[:0]
 	e.nowq = e.nowq[:0]
 	e.nowHead = 0
+	for _, p := range e.parked {
+		p.idx = 0
+	}
+	e.parked = e.parked[:0]
 	return nil
 }
 

@@ -66,6 +66,19 @@ func TestEngineCheckpointRejectsClosures(t *testing.T) {
 	}
 }
 
+// TestEngineCheckpointRejectsParkedPoll: a parked poll stands for a pending
+// re-arming callback and fails the save like one.
+func TestEngineCheckpointRejectsParkedPoll(t *testing.T) {
+	eng := NewEngine()
+	var p Poll
+	p.Init(eng, 4, func(any) {}, nil)
+	p.Park(1, Never)
+	var enc ckpt.Enc
+	if err := eng.SaveState(&enc); err == nil {
+		t.Fatal("SaveState accepted a parked poll")
+	}
+}
+
 // TestEngineLoadRejectsPendingEvents: SaveState always writes a pending
 // count of 0, so a snapshot claiming pending events is corrupt, not a panic.
 func TestEngineLoadRejectsPendingEvents(t *testing.T) {

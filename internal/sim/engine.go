@@ -47,7 +47,8 @@ func (a *event) before(b *event) bool {
 // current cycle, which skip the heap entirely. The (at, seq) total order is
 // preserved across both: every event carries a globally increasing sequence
 // number, and the dispatcher always fires the least (at, seq) event next,
-// one at a time.
+// one at a time. Parked polls (see Poll) sit beside both: their ticks hold
+// (at, seq) slots in the same order but are passed, not fired, until due.
 //
 // The zero value is ready to use. Engine is not safe for concurrent use; the
 // simulation model here is single-threaded by design (determinism first).
@@ -67,6 +68,12 @@ type Engine struct {
 	// can be earlier). Entries are in increasing seq order by construction.
 	nowq    []event
 	nowHead int
+
+	// parked holds the polls whose next tick is parked (see Poll), in no
+	// particular order; parkAt is the earliest parked tick's cycle. Only an
+	// event at or after parkAt needs the parked set consulted.
+	parked []*Poll
+	parkAt Cycle
 }
 
 // NewEngine returns an engine starting at cycle 0.
@@ -78,8 +85,12 @@ func (e *Engine) Now() Cycle { return e.now }
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.nowq) - e.nowHead }
+// Pending returns the number of scheduled, not yet executed events. A
+// parked poll counts as the one pending event its re-arming callback would
+// hold.
+func (e *Engine) Pending() int {
+	return len(e.heap) + len(e.nowq) - e.nowHead + len(e.parked)
+}
 
 // PeakPending returns the highest Pending() observed across the run — the
 // peak queue depth reported in observability digests.
@@ -92,19 +103,25 @@ func (e *Engine) notePeak() {
 	}
 }
 
-// NextAt peeks at the timestamp of the earliest pending event. ok is false
-// when no events are scheduled. Used by drivers that must stop the
-// simulation at an exact cycle (power-fail cuts) without firing anything
-// beyond it.
+// NextAt peeks at the timestamp of the earliest pending real event: a
+// queued event or the tick a parked poll is due to fire. ok is false when
+// there is none. Used by drivers that must stop the simulation at an exact
+// cycle (power-fail cuts) without firing anything beyond it; PassUntil then
+// moves the parked polls up to the cut.
 func (e *Engine) NextAt() (Cycle, bool) {
-	if e.nowHead < len(e.nowq) {
-		// FIFO entries are at the current cycle; nothing can be earlier.
-		return e.nowq[e.nowHead].at, true
+	at := Never
+	if ev, _ := e.head(); ev != nil {
+		at = ev.at
 	}
-	if len(e.heap) == 0 {
+	for _, p := range e.parked {
+		if d := p.dueAt(); d < at {
+			at = d
+		}
+	}
+	if at == Never {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return at, true
 }
 
 // push inserts ev, stamping it with the next sequence number. Scheduling in
@@ -155,66 +172,76 @@ func (e *Engine) fire(ev *event) {
 	}
 }
 
-// Step executes the earliest pending event, advancing time to it. It
-// reports false, doing nothing, when no events remain. Pump loops that must
-// re-check model state after every event (retrying a refused submission,
-// waiting for a free slot) are built on it.
-func (e *Engine) Step() bool {
-	var ev event
-	if e.nowHead < len(e.nowq) {
-		// The FIFO head is at the current cycle; the heap top can only tie
-		// it on cycle, in which case seq decides.
-		if len(e.heap) > 0 && e.heap[0].before(&e.nowq[e.nowHead]) {
-			ev = e.heapPop()
-		} else {
-			ev = e.nowq[e.nowHead]
-			e.nowq[e.nowHead] = event{} // release callback references
-			e.nowHead++
-			if e.nowHead == len(e.nowq) {
-				e.nowq = e.nowq[:0]
-				e.nowHead = 0
-			}
-		}
-	} else if len(e.heap) > 0 {
-		ev = e.heapPop()
-	} else {
-		return false
-	}
-	e.fire(&ev)
-	return true
-}
-
-// popUpTo pops the earliest pending event if its timestamp is <= deadline.
-// It fuses the NextAt peek with the pop, so the run loops pay one ordering
-// decision per event instead of two (the RunUntil fast path).
-func (e *Engine) popUpTo(deadline Cycle) (event, bool) {
+// head returns the earliest queued event (nil when none) and whether it is
+// the same-cycle FIFO's head rather than the heap top.
+func (e *Engine) head() (*event, bool) {
 	if e.nowHead < len(e.nowq) {
 		f := &e.nowq[e.nowHead]
 		// The FIFO head is at the current cycle; the heap top can only tie
 		// it on cycle, in which case seq decides.
 		if len(e.heap) > 0 && e.heap[0].before(f) {
-			if e.heap[0].at > deadline {
-				return event{}, false
-			}
-			return e.heapPop(), true
+			return &e.heap[0], false
 		}
-		if f.at > deadline {
-			return event{}, false
-		}
-		ev := *f
-		*f = event{} // release callback references
-		e.nowHead++
-		if e.nowHead == len(e.nowq) {
-			e.nowq = e.nowq[:0]
-			e.nowHead = 0
-		}
-		return ev, true
+		return f, true
 	}
-	if len(e.heap) > 0 && e.heap[0].at <= deadline {
-		return e.heapPop(), true
+	if len(e.heap) > 0 {
+		return &e.heap[0], false
 	}
-	return event{}, false
+	return nil, false
 }
+
+// step fires the earliest real event if its cycle is at most limit, first
+// passing the parked ticks that precede it in (cycle, seq) order. It
+// reports false, firing nothing, when no real event is due by limit; every
+// parked tick at or before limit has then been passed. With no limit and
+// only parked polls that nothing will wake, it never returns, as the
+// re-arming callbacks they stand for would fire forever.
+func (e *Engine) step(limit Cycle) bool {
+	for {
+		ev, fifo := e.head()
+		if len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
+			p := e.earliestParked()
+			if ev == nil || p.before(ev) {
+				if p.at > limit {
+					return false
+				}
+				if p.at >= p.due {
+					e.unpark(p)
+					e.now = p.at
+					e.fired++
+					p.fn(p.arg)
+					return true
+				}
+				e.pass(p)
+				continue
+			}
+		}
+		if ev == nil || ev.at > limit {
+			return false
+		}
+		var x event
+		if fifo {
+			x = *ev
+			*ev = event{} // release callback references
+			e.nowHead++
+			if e.nowHead == len(e.nowq) {
+				e.nowq = e.nowq[:0]
+				e.nowHead = 0
+			}
+		} else {
+			x = e.heapPop()
+		}
+		e.fire(&x)
+		return true
+	}
+}
+
+// Step executes the earliest pending real event, advancing time to it and
+// passing the parked ticks before it. It reports false, doing nothing, when
+// no events remain. Pump loops that must re-check model state after every
+// event (retrying a refused submission, waiting for a free slot) are built
+// on it; they skip parked ticks, which change no state a pump re-checks.
+func (e *Engine) Step() bool { return e.step(Never) }
 
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
@@ -222,15 +249,12 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamp <= deadline, then sets Now to
-// deadline if the simulation has not already passed it.
+// RunUntil executes events with timestamp <= deadline and passes every
+// parked tick at or before it, then sets Now to deadline if the simulation
+// has not already passed it. The caller acts at the deadline, so the
+// sequence numbers those ticks spend must already be spent.
 func (e *Engine) RunUntil(deadline Cycle) {
-	for {
-		ev, ok := e.popUpTo(deadline)
-		if !ok {
-			break
-		}
-		e.fire(&ev)
+	for e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -241,6 +265,23 @@ func (e *Engine) RunUntil(deadline Cycle) {
 // cond is checked before each event.
 func (e *Engine) RunWhile(cond func() bool) {
 	for cond() && e.Step() {
+	}
+}
+
+// PassUntil passes every parked tick at or before limit that precedes the
+// next real event, leaving Now at the last one passed. It fires nothing: a
+// power-fail cut calls it once NextAt lies beyond the cut, so the clock
+// stops where the last (no-op) poll at or before the cut left it.
+func (e *Engine) PassUntil(limit Cycle) {
+	for len(e.parked) > 0 {
+		p := e.earliestParked()
+		if p.at > limit || p.at >= p.due {
+			return
+		}
+		if ev, _ := e.head(); ev != nil && !p.before(ev) {
+			return
+		}
+		e.pass(p)
 	}
 }
 

@@ -39,8 +39,8 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 
 // BenchmarkEngineRunUntil tracks the deadline-bounded drain path: RunUntil
 // used to re-derive the next event time through the exported NextAt peek on
-// every iteration; the fused popUpTo makes one ordering decision per event,
-// keeping this within noise of BenchmarkEngineScheduleRun.
+// every iteration; step makes one ordering decision per event, keeping this
+// within noise of BenchmarkEngineScheduleRun.
 func BenchmarkEngineRunUntil(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

@@ -1,0 +1,132 @@
+package sim
+
+// Poll is a parked poll: the engine's stand-in for a callback that, while it
+// has nothing to do, re-arms itself with AfterFn(period, fn, arg) every
+// period cycles. Such a callback spends an event, a heap push and a pop, and
+// a sequence number per tick to learn that nothing changed. A parked poll
+// keeps only its next tick's (cycle, seq) slot. When the engine's order
+// reaches that slot and the tick is not due, the engine passes it: it
+// spends one sequence number and moves the slot one period along, exactly
+// as the re-arm would have, but pushes, pops and fires nothing.
+//
+// A tick is due, and fires fn(arg) for real in its slot, once its cycle
+// reaches the poll's due cycle. The owner sets that cycle when it parks the
+// poll (a time-based trigger, Never for none) and calls Wake when an input
+// of fn's decision changes; a wake makes the next tick due. The owner must
+// wake the poll whenever the tick might do something: an early wake is
+// always exact (the tick finds nothing to do and parks again), a late one
+// never is.
+//
+// A wake reuses the slot the re-arming callback would hold rather than
+// scheduling a fresh event: a fresh sequence number would order the woken
+// tick after events its re-arming form precedes (DESIGN.md §9).
+//
+// The zero Poll is unusable; Init binds it to an engine and callback.
+type Poll struct {
+	eng    *Engine
+	fn     func(any)
+	arg    any
+	period Cycle
+
+	// at and seq are the next tick's slot; due is the first cycle at which
+	// a tick fires for real.
+	at  Cycle
+	seq uint64
+	due Cycle
+	// idx is one plus the poll's index in eng.parked; 0 when not parked.
+	idx int
+}
+
+// Init binds p to eng: while parked, it ticks every period cycles and a
+// due tick runs fn(arg).
+func (p *Poll) Init(eng *Engine, period Cycle, fn func(any), arg any) {
+	*p = Poll{eng: eng, fn: fn, arg: arg, period: period}
+}
+
+// Park stands in for AfterFn(delay, fn, arg): the first tick takes the
+// slot that schedule would (cycle Now+delay, the next sequence number), and
+// later ticks follow every period. Ticks before cycle due are passed unless
+// Wake is called; due Never leaves only Wake. p must not be parked.
+func (p *Poll) Park(delay, due Cycle) {
+	e := p.eng
+	e.seq++
+	p.seq = e.seq
+	p.at = e.now + delay
+	p.due = due
+	e.parked = append(e.parked, p)
+	p.idx = len(e.parked)
+	if len(e.parked) == 1 || p.at < e.parkAt {
+		e.parkAt = p.at
+	}
+	e.notePeak()
+}
+
+// Wake makes p's next tick due, so it fires fn(arg) in its slot. Waking a
+// poll that is not parked does nothing.
+func (p *Poll) Wake() { p.due = 0 }
+
+// before reports whether p's next tick precedes ev in (cycle, seq) order.
+func (p *Poll) before(ev *event) bool {
+	return p.at < ev.at || (p.at == ev.at && p.seq < ev.seq)
+}
+
+// dueAt returns the cycle of the first tick that will fire for real, or
+// Never when only a wake can make one due.
+func (p *Poll) dueAt() Cycle {
+	switch {
+	case p.due <= p.at:
+		return p.at
+	case p.due == Never:
+		return Never
+	}
+	k := (p.due - p.at + p.period - 1) / p.period
+	return p.at + k*p.period
+}
+
+// earliestParked returns the parked poll with the least (at, seq) slot.
+func (e *Engine) earliestParked() *Poll {
+	m := e.parked[0]
+	for _, p := range e.parked[1:] {
+		if p.at < m.at || (p.at == m.at && p.seq < m.seq) {
+			m = p
+		}
+	}
+	return m
+}
+
+// pass moves p past its current tick as the re-arming callback's no-op
+// firing would: the clock reaches the tick, one sequence number goes to the
+// next tick, and the peak-pending mark sees the re-arm.
+func (e *Engine) pass(p *Poll) {
+	e.now = p.at
+	e.seq++
+	p.seq = e.seq
+	p.at += p.period
+	e.notePeak()
+	e.setParkAt()
+}
+
+// unpark removes p from the parked set.
+func (e *Engine) unpark(p *Poll) {
+	i := p.idx - 1
+	last := len(e.parked) - 1
+	if i != last {
+		e.parked[i] = e.parked[last]
+		e.parked[i].idx = i + 1
+	}
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	p.idx = 0
+	e.setParkAt()
+}
+
+// setParkAt recomputes the earliest parked tick's cycle.
+func (e *Engine) setParkAt() {
+	at := Never
+	for _, p := range e.parked {
+		if p.at < at {
+			at = p.at
+		}
+	}
+	e.parkAt = at
+}

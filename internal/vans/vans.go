@@ -95,9 +95,10 @@ type System struct {
 	cache *nearCache // Memory mode only
 	o     *obs.Obs   // this system's child observability context (may be nil)
 
-	// readDone / writeDone complete the *mem.Request passed as their arg.
-	// They are bound once per system, so Submit allocates nothing — not
-	// even when the iMC refuses the request and the driver retries.
+	// readDone / writeDone complete the *mem.Request passed as their arg
+	// (writeDone also ends fences). They are bound once per system, so
+	// Submit allocates nothing — not even when the iMC refuses the request
+	// and the driver retries.
 	readDone  func(any, error)
 	writeDone func(any)
 }
@@ -200,7 +201,7 @@ func (s *System) Submit(r *mem.Request) bool {
 		return ok
 	case mem.OpFence:
 		r.Issued = s.eng.Now()
-		s.imc.Fence(func() { r.Complete(s.eng.Now()) })
+		s.imc.Fence(s.writeDone, r)
 		return true
 	default:
 		return false

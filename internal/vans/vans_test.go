@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func smallNV(cfg Config) Config {
@@ -200,4 +201,30 @@ func TestMigrationsAcrossDIMMs(t *testing.T) {
 	if s.Migrations() == 0 {
 		t.Fatal("no migrations aggregated")
 	}
+}
+
+// TestStoreStreamEventsPerAccess pins the engine cost of a WPQ-bound store
+// stream: 4 MB of non-temporal stores with wear threshold 50 and a drained
+// barrier every 4096 accesses, then a fence. The LSQ drain spends most of
+// such a run blocked by the internal-write cap or below its triggers; its
+// ticks stay parked until a completion, a crossing of high water, a flush or
+// the oldest entry's age wakes them. Re-arming every epoch, it fired 37.8
+// events per access.
+func TestStoreStreamEventsPerAccess(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NV.WearThreshold = 50
+	s := New(cfg)
+	d := mem.NewDriver(s)
+	d.SetCkpt(&mem.CkptPolicy{Every: 4096})
+	accs := workload.SeqAccesses(4<<20, mem.OpWriteNT)
+	d.RunWindow(accs, 10)
+	d.Fence()
+	per := float64(s.Engine().Fired()) / float64(len(accs))
+	if per > 16.5 {
+		t.Fatalf("%.2f events per access, want at most 16.5", per)
+	}
+	if m := s.Migrations(); m != 320 {
+		t.Fatalf("%d wear migrations, want 320", m)
+	}
+	t.Logf("%.2f events per access", per)
 }
