@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,8 +206,8 @@ func TestFig9aAccuracy(t *testing.T) {
 	// Series: Optane-ld, Optane-st, VANS-ld, VANS-st.
 	oLd, vLd := r.Series[0], r.Series[2]
 	acc := analysis.MeanAccuracy(vLd.Y, oLd.Y)
-	if acc < 0.7 {
-		t.Errorf("load validation accuracy %.2f, want >= 0.7", acc)
+	if acc < 0.90 || acc > 0.94 {
+		t.Errorf("load validation accuracy %.4f, want within [0.90, 0.94] (EXPERIMENTS.md: 0.92)", acc)
 	}
 	// Both curves must show the same knee structure.
 	if k1, k2 := len(analysis.LargestKnees(oLd, 2)), len(analysis.LargestKnees(vLd, 2)); k1 != k2 {
@@ -218,8 +219,8 @@ func TestFig9eMeanAccuracy(t *testing.T) {
 	r := mustRun(t, "fig9e")
 	tab := r.Tables[0]
 	mean := cell(t, tab, len(tab.Rows)-1, 1)
-	if mean < 0.70 {
-		t.Errorf("overall accuracy %.2f, want >= 0.70 (paper: 0.865)", mean)
+	if mean < 0.755 || mean > 0.795 {
+		t.Errorf("overall accuracy %.3f, want within [0.755, 0.795] (test scale: 0.775; EXPERIMENTS.md: 0.773; paper: 0.865)", mean)
 	}
 }
 
@@ -245,14 +246,22 @@ func TestFig10bStoreImprovesWithDIMMs(t *testing.T) {
 	}
 }
 
+// TestFig11aAccuracyBand bands the IPC accuracies around what the test
+// scale's 25,000 instructions produce: rows 0.79-0.85, geomean 0.83.
+// EXPERIMENTS.md's 94.5% geomean is from the quick scale's longer runs.
 func TestFig11aAccuracyBand(t *testing.T) {
 	r := mustRun(t, "fig11a")
 	tab := r.Tables[0]
+	logSum := 0.0
 	for i := range tab.Rows {
 		acc := cell(t, tab, i, 3)
-		if acc < 0.3 {
-			t.Errorf("%s IPC accuracy %.2f absurdly low", tab.Rows[i][0], acc)
+		if acc < 0.75 || acc > 0.90 {
+			t.Errorf("%s IPC accuracy %.2f, want within [0.75, 0.90]", tab.Rows[i][0], acc)
 		}
+		logSum += math.Log(acc)
+	}
+	if g := math.Exp(logSum / float64(len(tab.Rows))); g < 0.81 || g > 0.85 {
+		t.Errorf("IPC accuracy geomean %.3f, want within [0.81, 0.85]", g)
 	}
 }
 
@@ -276,6 +285,14 @@ func TestFig11dVANSBeatsRamulator(t *testing.T) {
 	ramAcc := cell(t, tab, 1, 1)
 	if vansAcc <= ramAcc {
 		t.Errorf("VANS accuracy %.2f not above Ramulator %.2f", vansAcc, ramAcc)
+	}
+	// The test scale reads VANS 0.783 and Ramulator 0.310 (EXPERIMENTS.md:
+	// 0.717 and 0.325 at quick scale).
+	if vansAcc < 0.76 || vansAcc > 0.81 {
+		t.Errorf("VANS accuracy %.3f, want within [0.76, 0.81]", vansAcc)
+	}
+	if ramAcc < 0.29 || ramAcc > 0.33 {
+		t.Errorf("Ramulator accuracy %.3f, want within [0.29, 0.33]", ramAcc)
 	}
 }
 

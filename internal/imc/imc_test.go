@@ -72,6 +72,48 @@ func TestWPQBackpressureAfterCapacityDistinctLines(t *testing.T) {
 	eng.Run()
 }
 
+// TestRefusedLineAnswersLikeTheProbe pins the refused-line memo to the WPQ
+// probe it skips: after every event, a retried store is accepted exactly
+// when the WPQ holds its line or has a free slot, a store to a held line
+// merges while another line is refused, and a newly refused line replaces
+// the remembered one.
+func TestRefusedLineAnswersLikeTheProbe(t *testing.T) {
+	eng, m := newIMC(t, 1, false)
+	ch := m.channels[0]
+	next := uint64(0)
+	for m.Write(next, nil, func(any) {}, nil) {
+		next += 64
+	}
+	if !ch.wpq.Full() || !ch.haveRefused || ch.refusedLine != next {
+		t.Fatalf("after filling: full %v, memo (%v, %d), want refused line %d",
+			ch.wpq.Full(), ch.haveRefused, ch.refusedLine, next)
+	}
+	merges := ch.wpq.Merges()
+	if !m.Write(next-64, nil, func(any) {}, nil) || ch.wpq.Merges() != merges+1 {
+		t.Fatal("a store to a held line did not merge while another line was refused")
+	}
+	if m.Write(next+64, nil, func(any) {}, nil) || ch.refusedLine != next+64 {
+		t.Fatalf("a second distinct line was accepted or not remembered (memo %d)", ch.refusedLine)
+	}
+	retries := 0
+	for {
+		want := ch.wpq.Contains(next) || !ch.wpq.Full()
+		if got := m.Write(next, nil, func(any) {}, nil); got != want {
+			t.Fatalf("retry %d at cycle %d: write %v, the WPQ probe says %v", retries, eng.Now(), got, want)
+		} else if got {
+			break
+		}
+		retries++
+		if !eng.Step() {
+			t.Fatal("the engine ran dry with the store still refused")
+		}
+	}
+	if retries == 0 {
+		t.Fatal("the refused store was accepted without waiting for a drain")
+	}
+	eng.Run()
+}
+
 func TestWPQMergeAvoidsBackpressure(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	// Hammer the same line: merging must always accept.

@@ -51,17 +51,10 @@ func (e *Engine) LoadState(dec *ckpt.Dec) error {
 	if n != 0 {
 		return fmt.Errorf("%w: engine snapshot claims %d pending events", ckpt.ErrCorrupt, n)
 	}
-	e.now = now
-	e.seq = seq
-	e.fired = fired
-	e.peak = peak
-	e.heap = e.heap[:0]
-	e.nowq = e.nowq[:0]
-	e.nowHead = 0
 	for _, p := range e.parked {
 		p.idx = 0
 	}
-	e.parked = e.parked[:0]
+	*e = Engine{now: now, seq: seq, fired: fired, peak: peak}
 	return nil
 }
 

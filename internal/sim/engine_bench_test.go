@@ -1,12 +1,15 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkEngineScheduleRun is the engine microbenchmark the perf
 // trajectory tracks: schedule-and-fire cost per event with a mix of
-// same-cycle (FIFO fast path) and future (heap) events. The boxed
-// container/heap implementation paid two allocations per event here; the
-// value heap pays zero.
+// same-cycle and near-future events, 64 at a time, which land out of order
+// in a few buckets. The boxed container/heap implementation paid two
+// allocations per event here; the calendar pays zero.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -21,8 +24,10 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineDeepHeap exercises pure heap traffic (no same-cycle fast
-// path): a standing population of future events with one pop per push.
+// BenchmarkEngineDeepHeap keeps a standing population of 4,096 future
+// events within the horizon, one pop per push. The events live in the
+// ring; the name stays so benchjson -diff keeps comparing it across
+// snapshots.
 func BenchmarkEngineDeepHeap(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -33,6 +38,24 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+Cycle(1+i%511), fn)
+		e.Step()
+	}
+}
+
+// BenchmarkEngineFarEvents is BenchmarkEngineDeepHeap beyond the horizon:
+// every event is scheduled at least one horizon ahead, so each push and
+// pop goes through the overflow heap, and the ring stays empty.
+func BenchmarkEngineFarEvents(b *testing.B) {
+	const horizon = nBuckets << bucketShift
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 4096; i++ {
+		e.Schedule(Cycle(horizon+i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(e.Now()+horizon+Cycle(i%511), fn)
 		e.Step()
 	}
 }
@@ -82,14 +105,14 @@ func TestRunUntilAllocFree(t *testing.T) {
 func TestScheduleAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the heap and FIFO capacity.
+	// Warm the node slab.
 	for i := 0; i < 2048; i++ {
 		e.Schedule(e.Now()+Cycle(i%31), fn)
 	}
 	e.Run()
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 256; i++ {
-			e.After(Cycle(i%13), fn) // mixes FIFO (0) and heap (>0) paths
+			e.After(Cycle(i%13), fn) // tail appends and walks within a bucket
 		}
 		e.Run()
 	})
@@ -117,5 +140,33 @@ func TestScheduleFnAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("AfterFn/Run allocated %.2f times per run, want 0", avg)
+	}
+}
+
+// engineSink keeps the engines TestEngineFootprint builds on the heap, as a
+// model's engine is.
+var engineSink *Engine
+
+// TestEngineFootprint bounds the bytes a fresh engine allocates through its
+// first Schedule and Run. serve-mix builds about one engine per job and
+// figures 160 per batch, so a regrown bucket array shows in their alloc_mb.
+// The heap-only engine allocated 176 bytes here and the calendar's 2 KiB of
+// anchors and bitmap bring it to 2,368; the bound is the former plus 4 KiB,
+// which 4,096 one-cycle buckets (16 KiB of anchors) exceed.
+func TestEngineFootprint(t *testing.T) {
+	const runs, bound = 1000, 176 + 4096
+	fn := func() {}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e := NewEngine()
+		e.Schedule(5, fn)
+		e.Run()
+		engineSink = e
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > bound {
+		t.Fatalf("a fresh engine allocated %d bytes through its first Schedule and Run, want at most %d", got, bound)
 	}
 }

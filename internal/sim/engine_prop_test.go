@@ -9,16 +9,18 @@ import (
 
 // ---------------------------------------------------------------- oracle
 //
-// The reference scheduler is the pre-rewrite implementation: a boxed
-// container/heap ordered by (at, seq). The property test drives the real
-// Engine through random schedules — including re-entrant scheduling from
-// inside callbacks and partial RunUntil drains — and checks the firing
-// sequence against the oracle's total order.
+// The reference scheduler is the pre-calendar order in its plainest form: a
+// boxed container/heap ordered by (at, seq) that clamps requests in the past
+// to Now, as Engine does. The property test runs each randomized scenario
+// once on the oracle and once on the real Engine; every random draw happens
+// where an event fires, so both runs draw the same numbers exactly as long
+// as they fire the same events in the same order, and the first misordered
+// event shows as a differing firing.
 
 type oracleEvent struct {
 	at  Cycle
 	seq uint64
-	id  int
+	fn  func()
 }
 
 type oracleHeap []oracleEvent
@@ -40,130 +42,253 @@ func (h *oracleHeap) Pop() interface{} {
 	return e
 }
 
+// oracle runs the oracle heap with Engine's clock. It has no parked polls,
+// so PassUntil has nothing to pass.
+type oracle struct {
+	h     oracleHeap
+	now   Cycle
+	seq   uint64
+	fired uint64
+}
+
+func (o *oracle) Now() Cycle { return o.now }
+func (o *oracle) Schedule(at Cycle, fn func()) {
+	o.seq++
+	heap.Push(&o.h, oracleEvent{at: max(at, o.now), seq: o.seq, fn: fn})
+}
+func (o *oracle) After(delay Cycle, fn func()) { o.Schedule(o.now+delay, fn) }
+func (o *oracle) AfterFn(delay Cycle, fn func(any), arg any) {
+	o.After(delay, func() { fn(arg) })
+}
+func (o *oracle) Step() bool {
+	if o.h.Len() == 0 {
+		return false
+	}
+	ev := heap.Pop(&o.h).(oracleEvent)
+	o.now = ev.at
+	o.fired++
+	ev.fn()
+	return true
+}
+func (o *oracle) Run() {
+	for o.Step() {
+	}
+}
+func (o *oracle) RunWhile(cond func() bool) {
+	for cond() && o.Step() {
+	}
+}
+func (o *oracle) RunUntil(deadline Cycle) {
+	for o.h.Len() > 0 && o.h[0].at <= deadline {
+		o.Step()
+	}
+	o.now = max(o.now, deadline)
+}
+func (o *oracle) NextAt() (Cycle, bool) {
+	if o.h.Len() == 0 {
+		return 0, false
+	}
+	return o.h[0].at, true
+}
+func (o *oracle) PassUntil(Cycle) {}
+
+// scheduler is what the scenarios drive: an Engine or the oracle.
+type scheduler interface {
+	Now() Cycle
+	Schedule(at Cycle, fn func())
+	After(delay Cycle, fn func())
+	AfterFn(delay Cycle, fn func(any), arg any)
+	Step() bool
+	Run()
+	RunWhile(cond func() bool)
+	RunUntil(deadline Cycle)
+	NextAt() (Cycle, bool)
+	PassUntil(limit Cycle)
+}
+
+// clockOf returns s's (Now, seq) pair.
+func clockOf(s scheduler) clock {
+	if e, ok := s.(*Engine); ok {
+		return clock{e.now, e.seq}
+	}
+	o := s.(*oracle)
+	return clock{o.now, o.seq}
+}
+
 type firing struct {
 	at Cycle
 	id int
 }
 
-// TestEnginePropertyVsOracle checks the engine's firing sequence against a
-// container/heap oracle over randomized schedules. Each trial drains partway
-// with RunUntil, then to empty with Run, RunWhile or a Step loop in turn.
-// Each trial then checks parked polls against the re-arming callbacks they
-// stand for (pollScenario).
-//
-// Every schedule request is logged with its *effective* cycle (the engine
-// clamps requests in the past to Now) in engine seq order: requests made
-// inside a firing callback are logged during that firing, so log order is
-// exactly seq order. Because a re-entrant child always requests a cycle at
-// or after its parent's firing cycle, the engine's firing sequence is the
-// global (at, seq) sort of the logged set — which is what the oracle
-// computes.
+// The calendar's horizon and bucket width, in cycles.
+const (
+	horizon     = nBuckets << bucketShift
+	bucketWidth = 1 << bucketShift
+)
+
+// Scenario shapes: near keeps every cycle within a few hundred of Now, as
+// the model's DRAM and bus hops do; far spans several horizons, so events
+// reach the overflow heap, the ring laps and the heap top must be compared
+// with the ring; edge aims at the horizon's edges and piles out-of-order
+// cycles into single buckets.
+const (
+	shapeNear = iota
+	shapeFar
+	shapeEdge
+	nShapes
+)
+
+// TestEnginePropertyVsOracle checks the engine's firing sequence against
+// the container/heap oracle over randomized schedules of each shape
+// (eventScenario), then checks parked polls (pollScenario): the same
+// scenario runs with literal AfterFn re-arming polls on the oracle and on
+// the engine, and with Poll on the engine, and both engine runs must fire
+// what the oracle fires. Trials cycle through the shapes and, within each,
+// through the three ways to drain to empty: Run, RunWhile and a Step loop.
 func TestEnginePropertyVsOracle(t *testing.T) {
-	for trial := 0; trial < 100; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 1))
-		e := NewEngine()
-
-		type sched struct {
-			at Cycle
-			id int
-		}
-		var log []sched
-		var got []firing
-		nextID := 0
-
-		var schedule func(at Cycle, depth int)
-		schedule = func(at Cycle, depth int) {
-			id := nextID
-			nextID++
-			eff := at
-			if eff < e.Now() {
-				eff = e.Now()
-			}
-			log = append(log, sched{eff, id})
-			reentrant := depth < 2 && rng.Intn(4) == 0
-			offset := Cycle(rng.Intn(20))
-			e.Schedule(at, func() {
-				got = append(got, firing{e.Now(), id})
-				if reentrant {
-					schedule(e.Now()+offset, depth+1)
-				}
-			})
-		}
-
-		// A batch of initial events, some at cycle 0, some beyond.
-		n := 5 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			schedule(Cycle(rng.Intn(200)), 0)
-		}
-		// Drain partway, then schedule more — some now in the past, which
-		// the engine must clamp to its advanced clock.
-		e.RunUntil(Cycle(60 + rng.Intn(80)))
-		m := rng.Intn(20)
-		for i := 0; i < m; i++ {
-			schedule(Cycle(rng.Intn(300)), 0)
-		}
-		switch trial % 3 {
-		case 0:
-			e.Run()
-		case 1:
-			e.RunWhile(func() bool { return true })
-		default:
-			for e.Step() {
-			}
-			if e.Step() {
-				t.Fatalf("trial %d: Step reported an event on an empty engine", trial)
-			}
-		}
-
-		// Replay the log on the oracle: log order is engine seq order, and
-		// effective cycles are pre-clamped, so pushing everything up front
-		// yields the same (at, seq) pairs the engine used.
-		var o oracleHeap
-		for seq, s := range log {
-			heap.Push(&o, oracleEvent{at: s.at, seq: uint64(seq), id: s.id})
-		}
-		var want []firing
-		for o.Len() > 0 {
-			ev := heap.Pop(&o).(oracleEvent)
-			want = append(want, firing{ev.at, ev.id})
-		}
-
+	for trial := 0; trial < 150; trial++ {
+		shape := trial / 3 % nShapes
+		want := eventScenario(t, trial, shape, &oracle{})
+		got := eventScenario(t, trial, shape, NewEngine())
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d events, oracle fired %d", trial, len(got), len(want))
+			t.Fatalf("trial %d (shape %d): fired %d events, oracle fired %d", trial, shape, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: firing %d: engine %+v, oracle %+v", trial, i, got[i], want[i])
+				t.Fatalf("trial %d (shape %d): firing %d: engine %+v, oracle %+v", trial, shape, i, got[i], want[i])
 			}
 		}
 
-		// Parked polls against the callbacks they stand for: the same
-		// scenario runs once with literal AfterFn re-arming polls (whose
-		// order the heap oracle above vouches for) and once with Poll.
-		ref, refCut := pollScenario(int64(trial), false)
-		park, parkCut := pollScenario(int64(trial), true)
-		if len(park.firings) != len(ref.firings) {
-			t.Fatalf("trial %d: parked run fired %d real events, re-arming run %d",
-				trial, len(park.firings), len(ref.firings))
+		// Polls: periods up to 9 cycles for near trials; for the others
+		// up to 9×512, beyond the horizon, so ticks cross laps.
+		scale := Cycle(1)
+		if shape != shapeNear {
+			scale = 512
 		}
-		for i := range park.firings {
-			if park.firings[i] != ref.firings[i] {
-				t.Fatalf("trial %d: real firing %d: parked %+v, re-arming %+v",
-					trial, i, park.firings[i], ref.firings[i])
+		ref, refCut := pollScenario(int64(trial), pollOracle, scale)
+		for _, form := range []pollForm{pollRearm, pollParked} {
+			run, cut := pollScenario(int64(trial), form, scale)
+			if len(run.firings) != len(ref.firings) {
+				t.Fatalf("trial %d: %s run fired %d real events, oracle %d",
+					trial, form, len(run.firings), len(ref.firings))
+			}
+			for i := range run.firings {
+				if run.firings[i] != ref.firings[i] {
+					t.Fatalf("trial %d: real firing %d: %s %+v, oracle %+v",
+						trial, i, form, run.firings[i], ref.firings[i])
+				}
+			}
+			if cut != refCut {
+				t.Fatalf("trial %d: at the cut %s (now, seq) = %+v, oracle %+v", trial, form, cut, refCut)
+			}
+			if run.now != ref.now || run.seq != ref.seq {
+				t.Fatalf("trial %d: %s run ended at (now %d, seq %d), oracle at (%d, %d)",
+					trial, form, run.now, run.seq, ref.now, ref.seq)
+			}
+			if form == pollRearm && run.fired != ref.fired {
+				t.Fatalf("trial %d: re-arming run fired %d events, oracle %d", trial, run.fired, ref.fired)
+			}
+			if form == pollParked && ref.passes > 0 && run.fired >= ref.fired {
+				t.Fatalf("trial %d: parked run fired %d events, re-arming run %d: no tick was passed",
+					trial, run.fired, ref.fired)
 			}
 		}
-		if parkCut != refCut {
-			t.Fatalf("trial %d: at the cut parked (now, seq) = %+v, re-arming %+v", trial, parkCut, refCut)
+	}
+}
+
+// eventScenario drives one randomized schedule of the given shape on s and
+// returns its firings. A batch of initial events is drained partway with
+// RunUntil, more are scheduled (some in the past, which s must clamp to its
+// advanced clock; far and edge trials repeat this at deadlines that fall
+// mid-lap), and the rest drains by Run, RunWhile or a Step loop. A firing
+// event may schedule a child, re-entrantly, at a distance its shape draws.
+func eventScenario(t *testing.T, trial, shape int, s scheduler) []firing {
+	rng := rand.New(rand.NewSource(int64(trial) + 1))
+	var got []firing
+	nextID := 0
+	// offset draws how far after now a child asks to fire.
+	offset := func(now Cycle) Cycle {
+		if shape == shapeNear {
+			return Cycle(rng.Intn(20))
 		}
-		if park.now != ref.now || park.seq != ref.seq {
-			t.Fatalf("trial %d: parked run ended at (now %d, seq %d), re-arming run at (%d, %d)",
-				trial, park.now, park.seq, ref.now, ref.seq)
-		}
-		if ref.passes > 0 && park.fired >= ref.fired {
-			t.Fatalf("trial %d: parked run fired %d events, re-arming run %d: no tick was passed",
-				trial, park.fired, ref.fired)
+		base := now &^ (bucketWidth - 1)
+		switch rng.Intn(4) {
+		case 0:
+			return Cycle(rng.Intn(20))
+		case 1: // H−1, H or H+1 past now's bucket base
+			return base + horizon - 1 + Cycle(rng.Intn(3)) - now
+		case 2: // within or beyond the next lap
+			return Cycle(rng.Intn(3 * horizon))
+		default: // a cycle of now's bucket or the next, maybe before now
+			return base + Cycle(rng.Intn(2*bucketWidth)) - now // wraps; now+offset does not
 		}
 	}
+	var schedule func(at Cycle, depth int)
+	schedule = func(at Cycle, depth int) {
+		id := nextID
+		nextID++
+		reentrant := depth < 2 && rng.Intn(4) == 0
+		s.Schedule(at, func() {
+			got = append(got, firing{s.Now(), id})
+			if reentrant {
+				schedule(s.Now()+offset(s.Now()), depth+1)
+			}
+		})
+	}
+	// burst schedules n events into the bucket holding at, in random
+	// cycle order, some sharing a cycle.
+	burst := func(at Cycle, n int) {
+		base := at &^ (bucketWidth - 1)
+		for i := 0; i < n; i++ {
+			schedule(base+Cycle(rng.Intn(bucketWidth)), 0)
+		}
+	}
+	// batch schedules n events around now.
+	batch := func(n int) {
+		now := s.Now()
+		base := now &^ (bucketWidth - 1)
+		for i := 0; i < n; i++ {
+			switch {
+			case shape == shapeNear:
+				schedule(Cycle(rng.Intn(300)), 0)
+			case shape == shapeFar:
+				schedule(now+Cycle(rng.Intn(5*horizon))-Cycle(rng.Intn(int(now%horizon)+1)), 0)
+			case rng.Intn(2) == 0:
+				schedule(base+horizon-1+Cycle(rng.Intn(3)), 0)
+			default:
+				burst(now+Cycle(rng.Intn(2*horizon)), 1+rng.Intn(6))
+			}
+		}
+	}
+
+	// A batch of initial events, some at cycle 0, some beyond.
+	n := 5 + rng.Intn(40)
+	if shape == shapeNear {
+		for i := 0; i < n; i++ {
+			schedule(Cycle(rng.Intn(200)), 0)
+		}
+		s.RunUntil(Cycle(60 + rng.Intn(80)))
+		batch(rng.Intn(20))
+	} else {
+		batch(n)
+		for cuts := 1 + rng.Intn(3); cuts > 0; cuts-- {
+			s.RunUntil(s.Now() + Cycle(rng.Intn(2*horizon)))
+			batch(rng.Intn(20))
+		}
+	}
+	switch trial % 3 {
+	case 0:
+		s.Run()
+	case 1:
+		s.RunWhile(func() bool { return true })
+	default:
+		for s.Step() {
+		}
+		if s.Step() {
+			t.Fatalf("trial %d: Step reported an event on an empty %T", trial, s)
+		}
+	}
+	return got
 }
 
 // pollRun is what pollScenario observed.
@@ -181,12 +306,26 @@ type clock struct {
 	seq uint64
 }
 
+// pollForm is how pollScenario runs its polls.
+type pollForm int
+
+const (
+	pollOracle pollForm = iota // AfterFn re-arming polls on the oracle
+	pollRearm                  // AfterFn re-arming polls on an Engine
+	pollParked                 // Poll on an Engine
+)
+
+func (f pollForm) String() string {
+	return [...]string{"oracle", "re-arming", "parked"}[f]
+}
+
 // pollScenario drives one randomized schedule of ordinary events and polls.
-// With parked false each poll is a callback that re-arms itself with
-// AfterFn(period) while it has nothing to do; with parked true it is a
+// In the re-arming forms each poll is a callback that re-arms itself with
+// AfterFn(period) while it has nothing to do; in the parked form it is a
 // Poll, woken by the mutators that give it work. Everything random is drawn
-// only where real work happens, so both forms draw the same numbers as long
-// as they fire the same real events in the same order.
+// only where real work happens, so all forms draw the same numbers as long
+// as they fire the same real events in the same order. Every cycle drawn
+// (periods, due cycles, delays, deadlines) is scaled by scale.
 //
 // A poll acts when it has work or its due cycle has come. Acting logs a
 // firing, may schedule a child event less than one period ahead (so it can
@@ -198,9 +337,16 @@ type clock struct {
 // holds tokens, so a refused submit has no effect), optionally cuts power
 // through NextAt and PassUntil the way fault.RunToCut does, and finishes
 // with Run.
-func pollScenario(seed int64, parked bool) (pollRun, clock) {
+func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	rng := rand.New(rand.NewSource(seed*7919 + 3))
-	e := NewEngine()
+	in := func(n int) Cycle { return Cycle(rng.Intn(n * int(scale))) }
+	var e *Engine
+	var s scheduler = &oracle{}
+	if form != pollOracle {
+		e = NewEngine()
+		s = e
+	}
+	parked := form == pollParked
 	var run pollRun
 
 	n := 1 + rng.Intn(4)
@@ -216,10 +362,10 @@ func pollScenario(seed int64, parked bool) (pollRun, clock) {
 	nextID := 1000
 	var tick func(any)
 	// rearm stands for the no-op branch: AfterFn(delay, tick, p) in the
-	// re-arming form, a park in the other.
+	// re-arming forms, a park in the other.
 	rearm := func(p *pollState, delay Cycle) {
 		if !parked {
-			e.AfterFn(delay, tick, p)
+			s.AfterFn(delay, tick, p)
 			return
 		}
 		due := p.due
@@ -237,25 +383,25 @@ func pollScenario(seed int64, parked bool) (pollRun, clock) {
 	var event func(id int, depth int) func()
 	event = func(id int, depth int) func() {
 		return func() {
-			run.firings = append(run.firings, firing{e.Now(), id})
+			run.firings = append(run.firings, firing{s.Now(), id})
 			if rng.Intn(3) == 0 {
 				tokens++
 			}
 			if depth < 2 && rng.Intn(3) == 0 {
 				nextID++
-				e.After(Cycle(rng.Intn(12)), event(nextID, depth+1))
+				s.After(in(12), event(nextID, depth+1))
 			}
 		}
 	}
 	mutate := func(p *pollState, kind int) func() {
 		return func() {
-			run.firings = append(run.firings, firing{e.Now(), -1 - p.id})
+			run.firings = append(run.firings, firing{s.Now(), -1 - p.id})
 			switch kind {
 			case 0:
 				p.work = true
 				wake(p)
 			case 1:
-				due := e.Now() + Cycle(rng.Intn(40))
+				due := s.Now() + in(40)
 				if due < p.due {
 					wake(p) // a due cycle moved earlier
 				}
@@ -267,53 +413,58 @@ func pollScenario(seed int64, parked bool) (pollRun, clock) {
 	}
 	tick = func(a any) {
 		p := a.(*pollState)
-		if !p.work && e.Now() < p.due {
+		if !p.work && s.Now() < p.due {
 			if !parked {
 				run.passes++
 			}
 			rearm(p, p.period)
 			return
 		}
-		run.firings = append(run.firings, firing{e.Now(), p.id})
+		run.firings = append(run.firings, firing{s.Now(), p.id})
 		p.work = false
 		p.acts++
 		if rng.Intn(2) == 0 {
 			nextID++
-			e.After(Cycle(rng.Intn(int(p.period))), event(nextID, 1))
+			s.After(Cycle(rng.Intn(int(p.period))), event(nextID, 1))
 		}
 		if p.acts >= 4 {
 			return // stopped for good
 		}
 		if rng.Intn(3) == 0 {
 			p.due = Never
-			e.After(Cycle(1+rng.Intn(60)), mutate(p, 0))
+			s.After(1+in(60), mutate(p, 0))
 		} else {
-			p.due = e.Now() + Cycle(rng.Intn(80))
+			p.due = s.Now() + in(80)
 		}
 		rearm(p, p.period)
 	}
 	for i := range ps {
-		p := &pollState{id: i, period: Cycle(1 + rng.Intn(9)), due: Cycle(rng.Intn(100))}
-		p.poll.Init(e, p.period, tick, p)
+		p := &pollState{id: i, period: 1 + in(9), due: in(100)}
+		if parked {
+			p.poll.Init(e, p.period, tick, p)
+		}
 		ps[i] = p
-		rearm(p, Cycle(1+rng.Intn(5)))
+		rearm(p, 1+in(5))
 	}
 	for i := 0; i < 5+rng.Intn(20); i++ {
 		nextID++
-		e.Schedule(Cycle(rng.Intn(150)), event(nextID, 0))
+		s.Schedule(in(150), event(nextID, 0))
 	}
 	for i := 0; i < rng.Intn(12); i++ {
 		p := ps[rng.Intn(n)]
-		e.Schedule(Cycle(rng.Intn(150)), mutate(p, rng.Intn(3)))
+		s.Schedule(in(150), mutate(p, rng.Intn(3)))
 	}
 
 	// Drain partway; the caller then acts at the deadline.
-	e.RunUntil(Cycle(20 + rng.Intn(60)))
+	s.RunUntil(20*scale + in(60))
 	p := ps[rng.Intn(n)]
-	e.After(Cycle(rng.Intn(int(p.period))), mutate(p, rng.Intn(3)))
+	s.After(Cycle(rng.Intn(int(p.period))), mutate(p, rng.Intn(3)))
 
-	// A pump: submit until refused, then step. A submit spends a token and
-	// schedules work or mutates a poll on the spot.
+	// A pump: submit until refused, then step unless done. A submit spends
+	// a token and schedules work or mutates a poll on the spot; the pump
+	// decides whether it is done before it steps, as mem.Driver's pumps do,
+	// since a parked form's step passes ticks the re-arming forms' step
+	// fires one at a time.
 	submit := func() bool {
 		if tokens == 0 {
 			return false
@@ -321,17 +472,17 @@ func pollScenario(seed int64, parked bool) (pollRun, clock) {
 		tokens--
 		nextID++
 		if rng.Intn(2) == 0 {
-			e.After(Cycle(rng.Intn(8)), event(nextID, 1))
+			s.After(in(8), event(nextID, 1))
 		} else {
 			p := ps[rng.Intn(n)]
 			mutate(p, rng.Intn(3))()
 		}
 		return true
 	}
-	for target := len(run.firings) + 10 + rng.Intn(30); len(run.firings) < target; {
+	for target := len(run.firings) + 10 + rng.Intn(30); ; {
 		for submit() {
 		}
-		if !e.Step() {
+		if len(run.firings) >= target || !s.Step() {
 			break
 		}
 	}
@@ -340,18 +491,24 @@ func pollScenario(seed int64, parked bool) (pollRun, clock) {
 	// cut, then pass the parked ticks up to it.
 	var cut clock
 	if seed%2 == 0 {
-		limit := e.Now() + Cycle(rng.Intn(50))
+		limit := s.Now() + in(50)
 		for {
-			if at, ok := e.NextAt(); !ok || at > limit {
-				e.PassUntil(limit)
+			if at, ok := s.NextAt(); !ok || at > limit {
+				s.PassUntil(limit)
 				break
 			}
-			e.Step()
+			s.Step()
 		}
-		cut = clock{e.Now(), e.seq}
+		cut = clockOf(s)
 	}
-	e.Run()
-	run.now, run.seq, run.fired = e.Now(), e.seq, e.Fired()
+	s.Run()
+	c := clockOf(s)
+	run.now, run.seq = c.now, c.seq
+	if e != nil {
+		run.fired = e.Fired()
+	} else {
+		run.fired = s.(*oracle).fired
+	}
 	return run, cut
 }
 
@@ -427,23 +584,23 @@ func TestParkedPollPendingAndNextAt(t *testing.T) {
 	}
 }
 
-// TestSameCycleFIFOInterleavesWithHeap pins the ordering rule between the
-// same-cycle FIFO fast path and heap events landing on the same cycle:
-// scheduling order (seq) decides, regardless of which structure holds the
-// event.
+// TestSameCycleFIFOInterleavesWithHeap pins the ordering rule between
+// events scheduled for a cycle ahead of time and events scheduled at or
+// before it once the clock is there: scheduling order (seq) decides, though
+// the second kind is appended to a bucket the first kind already fills.
 func TestSameCycleFIFOInterleavesWithHeap(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	// Three heap events at cycle 10 (seq 1, 2, 3). The second one, while
-	// firing, schedules two same-cycle events (FIFO, seq 4 and 5) — the
-	// remaining heap event (seq 3) must still fire before them.
+	// Three events at cycle 10 (seq 1, 2, 3). The second one, while firing,
+	// schedules two same-cycle events (seq 4 and 5) — the remaining event
+	// (seq 3) must still fire before them.
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.Schedule(10, func() {
-		// Now() == 10: these go to the FIFO with seq 4 and 5.
+		// Now() == 10: these join cycle 10 with seq 4 and 5.
 		e.Schedule(10, func() { got = append(got, 4) })
 		e.Schedule(3, func() { got = append(got, 5) }) // past: clamped to 10
 	})
-	e.Schedule(10, func() { got = append(got, 3) }) // heap, seq 3
+	e.Schedule(10, func() { got = append(got, 3) }) // seq 3
 	e.Run()
 	want := []int{1, 3, 4, 5}
 	if len(got) != len(want) {
@@ -472,7 +629,7 @@ func TestScheduleInPastFiresBeforeAdvancing(t *testing.T) {
 }
 
 // TestRunUntilStopsAtExactCut models the power-fail cut: RunUntil must fire
-// everything at or before the cut cycle (including same-cycle FIFO events
+// everything at or before the cut cycle (including same-cycle events
 // created during the drain) and nothing after, leaving Now at the cut.
 func TestRunUntilStopsAtExactCut(t *testing.T) {
 	e := NewEngine()
@@ -501,16 +658,16 @@ func TestRunUntilStopsAtExactCut(t *testing.T) {
 }
 
 // TestNextAtEmptyQueue pins NextAt's empty-queue contract, including after a
-// drain (the FIFO ring must report empty once consumed).
+// drain (the ring must report empty once consumed).
 func TestNextAtEmptyQueue(t *testing.T) {
 	e := NewEngine()
 	if at, ok := e.NextAt(); ok || at != 0 {
 		t.Fatalf("NextAt on fresh engine = %d,%v, want 0,false", at, ok)
 	}
-	e.Schedule(0, func() {}) // same-cycle FIFO entry
+	e.Schedule(0, func() {}) // at the current cycle
 	e.Schedule(7, func() {})
 	if at, ok := e.NextAt(); !ok || at != 0 {
-		t.Fatalf("NextAt = %d,%v, want 0,true (FIFO head)", at, ok)
+		t.Fatalf("NextAt = %d,%v, want 0,true (the current cycle)", at, ok)
 	}
 	e.Run()
 	if at, ok := e.NextAt(); ok || at != 0 {
@@ -542,13 +699,16 @@ func TestScheduleFnOrdersWithSchedule(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the event record at six words on 64-bit hosts: the heap
-// copies it on every push, pop and sift.
+// TestEventSize pins the record the ring stores, the node, at seven words
+// on 64-bit hosts. The ring never moves a node: a push writes it once and a
+// pop reads it once, so its size costs no copies, but it sets how much of
+// the slab every bucket walk, push and pop touches. The event and its
+// 4-byte link round up to 56 bytes; a field more would take 64.
 func TestEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("event layout is pinned for 64-bit hosts")
+		t.Skip("node layout is pinned for 64-bit hosts")
 	}
-	if n := unsafe.Sizeof(event{}); n != 48 {
-		t.Fatalf("event is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(node{}); n != 56 {
+		t.Fatalf("node is %d bytes, want 56", n)
 	}
 }

@@ -2,8 +2,8 @@ package sim
 
 // Poll is a parked poll: the engine's stand-in for a callback that, while it
 // has nothing to do, re-arms itself with AfterFn(period, fn, arg) every
-// period cycles. Such a callback spends an event, a heap push and a pop, and
-// a sequence number per tick to learn that nothing changed. A parked poll
+// period cycles. Such a callback spends an event, a push and a pop, and a
+// sequence number per tick to learn that nothing changed. A parked poll
 // keeps only its next tick's (cycle, seq) slot. When the engine's order
 // reaches that slot and the tick is not due, the engine passes it: it
 // spends one sequence number and moves the slot one period along, exactly
