@@ -92,9 +92,26 @@ func TestGoldenVerdicts(t *testing.T) {
 const goldenPath = "testdata/golden.txt"
 
 // goldenSpecs are the shapes pinned beside figureShapes: the 6-DIMM
-// interleaved store stream, a power-fail crash check, and a transient-fault
-// retry.
+// interleaved store stream, a power-fail crash check, a transient-fault
+// retry, a chase behind a warmup prefix, and a wear-migrating store stream
+// cut by checkpoint barriers.
 var goldenSpecs = map[string]JobSpec{
+	// A chase forked from a warmup prefix's barrier, as serve-mix's warm
+	// groups run.
+	"warmup": {
+		Config:   ConfigSpec{MediaBytes: "16M"},
+		Workload: WorkloadSpec{Kind: "chase", Region: "256K", MaxSteps: 1000},
+		Warmup:   &WorkloadSpec{Kind: "chase", Region: "1M", MaxSteps: 2000},
+		Seed:     1001,
+	},
+	// perfbench's store-write in miniature: non-temporal stores with a low
+	// wear threshold, so blocks migrate between checkpoint barriers.
+	"store-wear-ckpt": {
+		Config:    ConfigSpec{WearThreshold: 50, MediaBytes: "16M"},
+		Workload:  WorkloadSpec{Kind: "seq", Bytes: "256K", Op: "store-nt"},
+		Seed:      7,
+		CkptEvery: 1024,
+	},
 	"interleaved": {
 		Config:   ConfigSpec{DIMMs: 6, Interleaved: true, MediaBytes: "8M"},
 		Workload: WorkloadSpec{Kind: "seq", Bytes: "96K", Op: "store-nt"},
