@@ -5,9 +5,11 @@ package repro
 // reports the headline metric alongside the wall time. Run the paper-scale
 // versions with:  go run ./cmd/experiments -all -scale paper
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/server"
 )
 
 // runExp executes one registered experiment b.N times.
@@ -72,3 +74,31 @@ func BenchmarkOtherNVRAM(b *testing.B)     { runExp(b, "other-nvram") }
 
 // Thread-scaling contention study.
 func BenchmarkScaling(b *testing.B) { runExp(b, "scaling") }
+
+// BenchmarkServedChase runs one job of perfbench's chase-read shape, a
+// dependent chase over 64 MB (four times the AIT buffer) for 20,000 steps
+// with seed 3, through server.Runner, the path `vans -json` and nvmserved
+// share. `make profile-figure FIG=ServedChase` profiles the AIT-miss read
+// path as that workload runs it.
+func BenchmarkServedChase(b *testing.B) {
+	spec := server.JobSpec{
+		Workload: server.WorkloadSpec{Kind: server.KindChase, Region: "64M", MaxSteps: 20000},
+		Seed:     3,
+	}
+	p, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rn := server.NewRunner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rn.Run(context.Background(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Accesses != 20000 {
+			b.Fatalf("chase ran %d accesses, want 20000", res.Accesses)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -157,5 +158,21 @@ func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
 	// open-page streams are reordered.
 	if !closed && !reordered {
 		t.Fatal("FR-FCFS serviced every access in acceptance order; the oracle checks nothing")
+	}
+}
+
+// TestQueueRecordSize pins the records the controller moves through its two
+// queues on 64-bit hosts: a queued access is 40 bytes (its coordinates are
+// decoded when the scheduler looks at it) and a serviced one keeps only its
+// 24-byte continuation. Both queues shift their entries on every pop.
+func TestQueueRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record layout is pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(pending{}); n != 40 {
+		t.Fatalf("pending is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(completion{}); n != 24 {
+		t.Fatalf("completion is %d bytes, want 24", n)
 	}
 }

@@ -10,6 +10,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -114,23 +115,31 @@ func (g Geometry) bankIndex(c Coord) int {
 // totalBanks returns the number of independent banks.
 func (g Geometry) totalBanks() int { return g.Ranks * g.BankGroups * g.Banks }
 
+// powerOfTwo reports whether every dimension of g is a power of two, as
+// MapAddr requires.
+func (g Geometry) powerOfTwo() bool {
+	pow2 := func(n uint64) bool { return n != 0 && n&(n-1) == 0 }
+	return pow2(uint64(g.Ranks)) && pow2(uint64(g.BankGroups)) && pow2(uint64(g.Banks)) &&
+		pow2(g.RowSize) && pow2(g.Rows)
+}
+
 // MapAddr maps a physical byte address onto the organization using a
 // row-interleaved scheme: consecutive rows rotate across banks so streaming
 // accesses exploit bank-level parallelism, while accesses within a row stay
 // open-page friendly. Layout (low to high): column within row, bank, bank
-// group, rank, row.
+// group, rank, row; address bits above the capacity are ignored. Every
+// dimension of g must be a power of two (NewController checks it), so each
+// field is a bit range of the address.
 func (g Geometry) MapAddr(addr uint64) Coord {
-	a := addr
-	col := a % g.RowSize
-	a /= g.RowSize
-	bank := int(a % uint64(g.Banks))
-	a /= uint64(g.Banks)
-	bg := int(a % uint64(g.BankGroups))
-	a /= uint64(g.BankGroups)
-	rank := int(a % uint64(g.Ranks))
-	a /= uint64(g.Ranks)
-	row := a % g.Rows
-	return Coord{Rank: rank, BankGroup: bg, Bank: bank, Row: row, Col: col}
+	col := addr & (g.RowSize - 1)
+	a := addr >> bits.TrailingZeros64(g.RowSize)
+	bank := int(a) & (g.Banks - 1)
+	a >>= bits.TrailingZeros(uint(g.Banks))
+	bg := int(a) & (g.BankGroups - 1)
+	a >>= bits.TrailingZeros(uint(g.BankGroups))
+	rank := int(a) & (g.Ranks - 1)
+	a >>= bits.TrailingZeros(uint(g.Ranks))
+	return Coord{Rank: rank, BankGroup: bg, Bank: bank, Row: a & (g.Rows - 1), Col: col}
 }
 
 // UnmapAddr is the inverse of MapAddr (used by property tests).

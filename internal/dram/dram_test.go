@@ -38,6 +38,66 @@ func TestMapAddrInRange(t *testing.T) {
 	}
 }
 
+// mapAddrDiv is the row-interleaved address map written with divisions and
+// remainders, as the controller applied it to addr modulo the capacity. It
+// holds for any geometry and is the reference for the shift-and-mask map.
+func mapAddrDiv(g Geometry, addr uint64) Coord {
+	a := addr % g.Capacity()
+	col := a % g.RowSize
+	a /= g.RowSize
+	bank := int(a % uint64(g.Banks))
+	a /= uint64(g.Banks)
+	bg := int(a % uint64(g.BankGroups))
+	a /= uint64(g.BankGroups)
+	rank := int(a % uint64(g.Ranks))
+	a /= uint64(g.Ranks)
+	return Coord{Rank: rank, BankGroup: bg, Bank: bank, Row: a % g.Rows, Col: col}
+}
+
+// TestMapAddrMatchesDivision checks the shift-and-mask map against the
+// division reference on every geometry the repository builds, over random
+// 64-bit addresses (most far beyond the capacity, whose high bits the map
+// must ignore) and random addresses within it.
+func TestMapAddrMatchesDivision(t *testing.T) {
+	for _, g := range []Geometry{
+		DefaultGeometry(),
+		{Ranks: 2, BankGroups: 4, Banks: 4, RowSize: 8192, Rows: 1024},
+	} {
+		rng := sim.NewRNG(11)
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 1 {
+				addr %= g.Capacity()
+			}
+			if got, want := g.MapAddr(addr), mapAddrDiv(g, addr); got != want {
+				t.Fatalf("geometry %+v, address %#x: MapAddr %+v, division %+v", g, addr, got, want)
+			}
+		}
+	}
+}
+
+// TestNewControllerRejectsNonPowerOfTwoGeometry: the shift-and-mask map
+// holds only when every dimension is a power of two, so the controller
+// refuses any other geometry rather than mapping it wrongly.
+func TestNewControllerRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	for _, g := range []Geometry{
+		{Ranks: 3, BankGroups: 4, Banks: 4, RowSize: 8192, Rows: 1024},
+		{Ranks: 1, BankGroups: 4, Banks: 4, RowSize: 6144, Rows: 1024},
+		{Ranks: 1, BankGroups: 4, Banks: 4, RowSize: 8192, Rows: 1000},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewController accepted geometry %+v", g)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Geometry = g
+			NewController(sim.NewEngine(), cfg)
+		}()
+	}
+}
+
 func TestMapAddrSameRowForNearbyAddrs(t *testing.T) {
 	g := DefaultGeometry()
 	a := g.MapAddr(0)

@@ -38,7 +38,6 @@ func (ch *Channel) LoadState(dec *ckpt.Dec) error {
 	ch.draining = dec.Bool()
 	ch.drainLine = dec.U64()
 	ch.haveDrain = dec.Bool()
-	ch.haveRefused = false
 	ch.reads = dec.U64()
 	ch.writes = dec.U64()
 	ch.forwards = dec.U64()

@@ -279,12 +279,6 @@ type Channel struct {
 	// the DIMM (so LSQ backpressure can never lose a write).
 	drainLine uint64
 	haveDrain bool
-	// refusedLine is the line the full WPQ last refused. A full WPQ only
-	// merges into lines it holds, and only a drain pop frees a slot, so the
-	// line stays refused until drainStep pops a group; write answers a
-	// retry of it without probing the WPQ's line map.
-	refusedLine uint64
-	haveRefused bool
 
 	transferCyc sim.Cycle
 	readOverCyc sim.Cycle
@@ -414,12 +408,7 @@ func (ch *Channel) noteRPQDone(addr uint64) {
 
 func (ch *Channel) write(addr uint64, data []byte, done func(any), arg any) bool {
 	line := addr - addr%64
-	if ch.haveRefused && line == ch.refusedLine {
-		ch.kickDrain()
-		return false
-	}
 	if _, ok := ch.wpq.Accept(line, ch.eng.Now()); !ok {
-		ch.refusedLine, ch.haveRefused = line, true
 		ch.kickDrain()
 		return false
 	}
@@ -470,7 +459,6 @@ func (ch *Channel) drainStep() {
 			ch.draining = false
 			return
 		}
-		ch.haveRefused = false
 		// The WPQ combines at 64B granularity: one line per group.
 		ch.drainLine = g.Block
 		ch.haveDrain = true

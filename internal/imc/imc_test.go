@@ -72,34 +72,49 @@ func TestWPQBackpressureAfterCapacityDistinctLines(t *testing.T) {
 	eng.Run()
 }
 
-// TestRefusedLineAnswersLikeTheProbe pins the refused-line memo to the WPQ
-// probe it skips: after every event, a retried store is accepted exactly
-// when the WPQ holds its line or has a free slot, a store to a held line
-// merges while another line is refused, and a newly refused line replaces
-// the remembered one.
+// TestRefusedLineAnswersLikeTheProbe pins the refused-line memo inside
+// nvdimm.LSQ to the line-map probe it skips, for both queues an LSQ backs:
+// the WPQ through IMC.Write and the DIMM's LSQ through DIMM.AcceptWrite.
+// Once the queue is full, a store to a held line merges while another line
+// is refused, a second new line is refused too, and then, after every
+// event, a retry of the refused line is accepted exactly when the queue
+// holds the line or has a free slot. A memo that refuses any line fails the
+// merge; one that a pop never clears fails the retries.
 func TestRefusedLineAnswersLikeTheProbe(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	ch := m.channels[0]
+	write := func(line uint64) bool { return m.Write(line, nil, func(any) {}, nil) }
+	t.Run("wpq", func(t *testing.T) { checkRefusedLine(t, eng, ch.wpq, write) })
+
+	eng, m = newIMC(t, 1, false)
+	d := m.channels[0].dimm
+	accept := func(line uint64) bool { return d.AcceptWrite(line, nil) }
+	t.Run("dimm-lsq", func(t *testing.T) { checkRefusedLine(t, eng, d.LSQ(), accept) })
+}
+
+// checkRefusedLine fills q through offer, one new line at a time, then
+// checks offer's answers against q's probe as described above.
+func checkRefusedLine(t *testing.T, eng *sim.Engine, q *nvdimm.LSQ, offer func(line uint64) bool) {
+	t.Helper()
 	next := uint64(0)
-	for m.Write(next, nil, func(any) {}, nil) {
+	for offer(next) {
 		next += 64
 	}
-	if !ch.wpq.Full() || !ch.haveRefused || ch.refusedLine != next {
-		t.Fatalf("after filling: full %v, memo (%v, %d), want refused line %d",
-			ch.wpq.Full(), ch.haveRefused, ch.refusedLine, next)
+	if !q.Full() || q.Contains(next) {
+		t.Fatalf("after filling: full %v, refused line %#x held %v", q.Full(), next, q.Contains(next))
 	}
-	merges := ch.wpq.Merges()
-	if !m.Write(next-64, nil, func(any) {}, nil) || ch.wpq.Merges() != merges+1 {
+	merges := q.Merges()
+	if !offer(next-64) || q.Merges() != merges+1 {
 		t.Fatal("a store to a held line did not merge while another line was refused")
 	}
-	if m.Write(next+64, nil, func(any) {}, nil) || ch.refusedLine != next+64 {
-		t.Fatalf("a second distinct line was accepted or not remembered (memo %d)", ch.refusedLine)
+	if offer(next + 64) {
+		t.Fatal("a second new line was accepted by a full queue")
 	}
 	retries := 0
 	for {
-		want := ch.wpq.Contains(next) || !ch.wpq.Full()
-		if got := m.Write(next, nil, func(any) {}, nil); got != want {
-			t.Fatalf("retry %d at cycle %d: write %v, the WPQ probe says %v", retries, eng.Now(), got, want)
+		want := q.Contains(next) || !q.Full()
+		if got := offer(next); got != want {
+			t.Fatalf("retry %d at cycle %d: offer %v, the probe says %v", retries, eng.Now(), got, want)
 		} else if got {
 			break
 		}
@@ -109,7 +124,7 @@ func TestRefusedLineAnswersLikeTheProbe(t *testing.T) {
 		}
 	}
 	if retries == 0 {
-		t.Fatal("the refused store was accepted without waiting for a drain")
+		t.Fatal("the refused store was accepted without waiting for a pop")
 	}
 	eng.Run()
 }

@@ -3,6 +3,7 @@ package nvdimm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -150,6 +151,12 @@ func TestTranslatorIdentityByDefault(t *testing.T) {
 	if tr.ToMedia(4096*3+17) != 4096*3+17 {
 		t.Fatal("ToMedia not identity")
 	}
+	// Only a migration ever leaves the identity, so the leaf directories
+	// wait for one: a swap of a page with itself writes identity entries.
+	tr.SwapPages(3, 3)
+	if tr.fwd.leaves != nil || tr.rev.leaves != nil {
+		t.Fatal("an identity translator allocated a leaf directory")
+	}
 }
 
 func TestTranslatorSwap(t *testing.T) {
@@ -193,5 +200,17 @@ func TestTranslatorBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAITLineSize pins an AIT buffer line at 24 bytes on 64-bit hosts: its
+// two words first and the flags packed behind them, so a 16-way set scan
+// reads 384 bytes and the 16 MB buffer's 4,096 lines take 96 KiB per DIMM.
+func TestAITLineSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("line layout is pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(aitLine{}); n != 24 {
+		t.Fatalf("aitLine is %d bytes, want 24", n)
 	}
 }

@@ -40,6 +40,7 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 	clear(q.slots)
 	q.order = q.order[:0]
 	q.live = n
+	q.haveRefused = false
 	for i := 0; i < n; i++ {
 		line := dec.U64()
 		enq := sim.Cycle(dec.U64())
@@ -189,17 +190,15 @@ func (p *identPages) loadState(dec *ckpt.Dec) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	for i := range p.leaves {
-		p.leaves[i] = nil
-	}
+	clear(p.leaves)
 	for i := 0; i < n; i++ {
 		li := dec.U64()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if li >= uint64(len(p.leaves)) {
+		if li >= uint64(p.dirLen) {
 			return fmt.Errorf("%w: translation leaf %d beyond directory of %d",
-				ckpt.ErrCorrupt, li, len(p.leaves))
+				ckpt.ErrCorrupt, li, p.dirLen)
 		}
 		l := make([]uint64, identLeafSize)
 		for j := range l {
@@ -208,7 +207,7 @@ func (p *identPages) loadState(dec *ckpt.Dec) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		p.leaves[li] = l
+		p.dir()[li] = l
 	}
 	return nil
 }

@@ -186,6 +186,9 @@ func (d *DIMM) DRAM() *dram.Controller { return d.dramC }
 // Wear exposes the wear-leveler (migration event analysis).
 func (d *DIMM) Wear() *WearLeveler { return d.wear }
 
+// LSQ exposes the on-DIMM load-store queue (property tests).
+func (d *DIMM) LSQ() *LSQ { return d.lsq }
+
 // Translator exposes the AIT translation state (property tests).
 func (d *DIMM) Translator() *Translator { return d.trans }
 

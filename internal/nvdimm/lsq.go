@@ -14,12 +14,20 @@ type lsqSlot struct {
 // repeated stores to the same line in place, and drains entries grouped by
 // combine block (256B) so that downstream sees combined read-modify-write
 // operations — the write-combining behavior the paper attributes to the LSQ.
+// The iMC's write pending queue is an LSQ too.
 type LSQ struct {
 	slots    map[uint64]int // line -> index into order
 	order    []lsqSlot      // FIFO by enqueue; holes marked line==tombstone
 	live     int
 	maxSlots int
 	combine  uint64
+
+	// refusedLine is the line the full queue last refused. A full queue
+	// only merges into lines it holds, and only PopGroup frees a slot, so
+	// the line stays refused until a pop; Accept answers a retry of it
+	// without probing the line map.
+	refusedLine uint64
+	haveRefused bool
 
 	merges  uint64
 	accepts uint64
@@ -72,12 +80,16 @@ func (q *LSQ) ContainsBlock(block uint64) bool {
 // (merged, accepted): merged means an existing slot was overwritten in
 // place; accepted==false means the queue is full and the caller must retry.
 func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
+	if q.haveRefused && line == q.refusedLine {
+		return false, false
+	}
 	if i, ok := q.slots[line]; ok {
 		q.order[i].enq = now
 		q.merges++
 		return true, true
 	}
 	if q.Full() {
+		q.refusedLine, q.haveRefused = line, true
 		return false, false
 	}
 	q.slots[line] = len(q.order)
@@ -165,6 +177,7 @@ func (q *LSQ) PopGroup() (Group, bool) {
 	if oldest == nil {
 		return Group{}, false
 	}
+	q.haveRefused = false
 	block := oldest.line - oldest.line%q.combine
 	g := Group{Block: block, Enq: oldest.enq}
 	for l := block; l < block+q.combine; l += 64 {

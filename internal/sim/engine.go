@@ -18,17 +18,20 @@ type Cycle uint64
 // Never is a sentinel cycle value meaning "not scheduled / not happening".
 const Never = Cycle(1<<63 - 1)
 
-// event is a scheduled callback. seq breaks ties so same-cycle events fire in
-// the order they were scheduled, making runs reproducible. Exactly one of
-// fn/afn is set; afn is invoked with arg, letting recurring callers schedule
-// without allocating a fresh closure per event (see ScheduleFn).
+// event is a scheduled callback: it fires fn(arg). seq breaks ties so
+// same-cycle events fire in the order they were scheduled, making runs
+// reproducible. A closure passed to Schedule or After rides as the arg of
+// callFunc, so every event has this one form.
 type event struct {
 	at  Cycle
 	seq uint64
-	fn  func()
-	afn func(any)
+	fn  func(any)
 	arg any
 }
+
+// callFunc fires a closure scheduled with Schedule or After. A func value is
+// a single pointer, so storing one in arg allocates nothing.
+func callFunc(a any) { a.(func())() }
 
 // before orders events by (at, seq): earliest cycle first, scheduling order
 // within a cycle.
@@ -151,26 +154,25 @@ func (e *Engine) NextAt() (Cycle, bool) {
 	return at, true
 }
 
-// push inserts ev, stamping it with the next sequence number. Scheduling in
-// the past (at < Now) is treated as "now": the event joins now's bucket and
-// fires before time advances further.
-func (e *Engine) push(ev event) {
+// push schedules fn(arg) at cycle at, stamping it with the next sequence
+// number. Scheduling in the past (at < Now) is treated as "now": the event
+// joins now's bucket and fires before time advances further.
+func (e *Engine) push(at Cycle, fn func(any), arg any) {
 	e.seq++
-	ev.seq = e.seq
-	if ev.at < e.now {
-		ev.at = e.now
+	if at < e.now {
+		at = e.now
 	}
-	if ev.at>>bucketShift-e.now>>bucketShift < nBuckets {
-		e.ringPush(ev)
+	if at>>bucketShift-e.now>>bucketShift < nBuckets {
+		e.ringPush(at, e.seq, fn, arg)
 	} else {
-		e.heapPush(ev)
+		e.heapPush(event{at: at, seq: e.seq, fn: fn, arg: arg})
 	}
 	e.notePeak()
 }
 
 // Schedule runs fn at absolute cycle at. Scheduling in the past (at < Now) is
 // treated as "now": the event fires before time advances further.
-func (e *Engine) Schedule(at Cycle, fn func()) { e.push(event{at: at, fn: fn}) }
+func (e *Engine) Schedule(at Cycle, fn func()) { e.push(at, callFunc, fn) }
 
 // After runs fn delay cycles from now.
 func (e *Engine) After(delay Cycle, fn func()) { e.Schedule(e.now+delay, fn) }
@@ -180,25 +182,12 @@ func (e *Engine) After(delay Cycle, fn func()) { e.Schedule(e.now+delay, fn) }
 // component it operates on, so recurring events (drain engines, pollers,
 // retry loops) schedule themselves without allocating a fresh closure per
 // event.
-func (e *Engine) ScheduleFn(at Cycle, fn func(any), arg any) {
-	e.push(event{at: at, afn: fn, arg: arg})
-}
+func (e *Engine) ScheduleFn(at Cycle, fn func(any), arg any) { e.push(at, fn, arg) }
 
 // AfterFn runs fn(arg) delay cycles from now (the allocation-free variant of
 // After; see ScheduleFn).
 func (e *Engine) AfterFn(delay Cycle, fn func(any), arg any) {
 	e.ScheduleFn(e.now+delay, fn, arg)
-}
-
-// fire advances time to ev and executes it.
-func (e *Engine) fire(ev *event) {
-	e.now = ev.at
-	e.fired++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.afn(ev.arg)
-	}
 }
 
 // head returns the earliest queued event (nil when none) and the ring
@@ -245,13 +234,16 @@ func (e *Engine) step(limit Cycle) bool {
 		if ev == nil || ev.at > limit {
 			return false
 		}
-		var x event
+		e.now = ev.at
+		var fn func(any)
+		var arg any
 		if b >= 0 {
-			x = e.ringPop(b)
+			fn, arg = e.ringPop(b)
 		} else {
-			x = e.heapPop()
+			fn, arg = e.heapPop()
 		}
-		e.fire(&x)
+		e.fired++
+		fn(arg)
 		return true
 	}
 }
@@ -307,21 +299,25 @@ func (e *Engine) PassUntil(limit Cycle) {
 
 // ------------------------------------------------------------------- ring
 
-// ringPush stores ev, which lies within one horizon of now's bucket base, in
-// its bucket. A bucket stays in (at, seq) order: ev has the largest seq, so
-// it goes after every entry of its own cycle — at the tail in the common
-// case, otherwise before the first entry of a later cycle.
-func (e *Engine) ringPush(ev event) {
+// ringPush stores the event (at, seq, fn, arg), which lies within one
+// horizon of now's bucket base, in its bucket. The fields are written
+// straight into the free node: passing an event value would spill it to the
+// stack and copy it again, through a write barrier while the GC marks. A
+// bucket stays in (at, seq) order: the event has the largest seq, so it goes
+// after every entry of its own cycle — at the tail in the common case,
+// otherwise before the first entry of a later cycle.
+func (e *Engine) ringPush(at Cycle, seq uint64, fn func(any), arg any) {
 	var i int32
 	if e.free != 0 {
 		i = e.free - 1
 		e.free = e.nodes[i].next
-		e.nodes[i].event = ev
 	} else {
 		i = int32(len(e.nodes))
-		e.nodes = append(e.nodes, node{event: ev})
+		e.nodes = append(e.nodes, node{})
 	}
-	b := int(ev.at>>bucketShift) & (nBuckets - 1)
+	n := &e.nodes[i]
+	n.at, n.seq, n.fn, n.arg = at, seq, fn, arg
+	b := int(at>>bucketShift) & (nBuckets - 1)
 	e.ringN++
 	w, bit := b>>6, uint64(1)<<(b&63)
 	if e.occ[w]&bit == 0 {
@@ -331,15 +327,15 @@ func (e *Engine) ringPush(ev event) {
 		return
 	}
 	t := e.tail[b]
-	if ev.at >= e.nodes[t].at {
+	if at >= e.nodes[t].at {
 		e.nodes[i].next = e.nodes[t].next
 		e.nodes[t].next = i
 		e.tail[b] = i
 		return
 	}
-	// The tail is later than ev, so the walk stops before wrapping.
+	// The tail is later than the event, so the walk stops before wrapping.
 	prev, cur := t, e.nodes[t].next
-	for e.nodes[cur].at <= ev.at {
+	for e.nodes[cur].at <= at {
 		prev, cur = cur, e.nodes[cur].next
 	}
 	e.nodes[i].next = cur
@@ -360,9 +356,9 @@ func (e *Engine) firstBucket() int {
 	return w<<6 | bits.TrailingZeros64(word)
 }
 
-// ringPop removes and returns bucket b's first entry, zeroing its node so
-// the slab does not pin a dead callback.
-func (e *Engine) ringPop(b int) event {
+// ringPop removes bucket b's first entry and returns its callback, zeroing
+// the node so the slab does not pin a dead callback.
+func (e *Engine) ringPop(b int) (func(any), any) {
 	t := e.tail[b]
 	h := e.nodes[t].next
 	if h == t {
@@ -371,11 +367,11 @@ func (e *Engine) ringPop(b int) event {
 		e.nodes[t].next = e.nodes[h].next
 	}
 	n := &e.nodes[h]
-	ev := n.event
+	fn, arg := n.fn, n.arg
 	*n = node{next: e.free}
 	e.free = h + 1
 	e.ringN--
-	return ev
+	return fn, arg
 }
 
 // ------------------------------------------------------------------- heap
@@ -401,7 +397,8 @@ func (e *Engine) heapPush(ev event) {
 	e.heap = h
 }
 
-func (e *Engine) heapPop() event {
+// heapPop removes the heap top and returns its callback.
+func (e *Engine) heapPop() (func(any), any) {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
@@ -410,7 +407,7 @@ func (e *Engine) heapPop() event {
 	h = h[:n]
 	e.heap = h
 	if n == 0 {
-		return top
+		return top.fn, top.arg
 	}
 	i := 0
 	for {
@@ -435,5 +432,5 @@ func (e *Engine) heapPop() event {
 		i = m
 	}
 	h[i] = last
-	return top
+	return top.fn, top.arg
 }

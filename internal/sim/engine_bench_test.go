@@ -82,7 +82,8 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 // capacities are warm, matching the Run guard below.
 func TestRunUntilAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
+	fired := 0
+	fn := func() { fired++ }
 	for i := 0; i < 2048; i++ {
 		e.Schedule(e.Now()+Cycle(i%31), fn)
 	}
@@ -97,14 +98,20 @@ func TestRunUntilAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Schedule/RunUntil allocated %.2f times per run, want 0", avg)
 	}
+	if want := 2048 + 201*256; fired != want {
+		t.Fatalf("fired %d closures, want %d", fired, want)
+	}
 }
 
 // TestScheduleAllocFree is the allocation regression guard for the engine
 // hot path: once slice capacity is warm, Schedule/After/Run must not
-// allocate at all (the boxed heap allocated on every push and pop).
+// allocate at all (the boxed heap allocated on every push and pop). The
+// closure captures a variable, as a model's closures do; it rides in the
+// event's arg without being boxed again.
 func TestScheduleAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
+	fired := 0
+	fn := func() { fired++ }
 	// Warm the node slab.
 	for i := 0; i < 2048; i++ {
 		e.Schedule(e.Now()+Cycle(i%31), fn)
@@ -118,6 +125,9 @@ func TestScheduleAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Schedule/After/Run allocated %.2f times per run, want 0", avg)
+	}
+	if want := 2048 + 201*256; fired != want {
+		t.Fatalf("fired %d closures, want %d", fired, want)
 	}
 }
 

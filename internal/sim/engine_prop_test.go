@@ -699,16 +699,21 @@ func TestScheduleFnOrdersWithSchedule(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the record the ring stores, the node, at seven words
-// on 64-bit hosts. The ring never moves a node: a push writes it once and a
-// pop reads it once, so its size costs no copies, but it sets how much of
-// the slab every bucket walk, push and pop touches. The event and its
-// 4-byte link round up to 56 bytes; a field more would take 64.
+// TestEventSize pins the record the ring stores, the node, at six words on
+// 64-bit hosts. The ring never moves a node: a push writes its fields once
+// and a pop reads the callback once, so its size costs no copies, but it
+// sets how much of the slab every bucket walk, push and pop touches. With
+// one callback form the event is (at, seq, fn, arg), 40 bytes, and its
+// 4-byte link rounds the node up to 48; a second callback field would take
+// 56.
 func TestEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("node layout is pinned for 64-bit hosts")
 	}
-	if n := unsafe.Sizeof(node{}); n != 56 {
-		t.Fatalf("node is %d bytes, want 56", n)
+	if n := unsafe.Sizeof(event{}); n != 40 {
+		t.Fatalf("event is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(node{}); n != 48 {
+		t.Fatalf("node is %d bytes, want 48", n)
 	}
 }
