@@ -1,7 +1,10 @@
 package vans
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -75,7 +78,24 @@ func TestCheckPowerFailConsistentAcrossCutSweep(t *testing.T) {
 				reports[i-1].AcceptedWrites, reports[i].AcceptedWrites)
 		}
 	}
+	// Every cut exactly: where each run stopped and which writes it had
+	// accepted, pinned as one hash over the ten reports (recorded on
+	// linux/amd64, like the golden files).
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	raw, err := json.Marshal(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != cutSweepSHA256 {
+		t.Errorf("cut sweep sha256 = %s, want %s\nreports: %s", got, cutSweepSHA256, raw)
+	}
 }
+
+// cutSweepSHA256 is the SHA-256 of the JSON of the cut sweep's ten reports.
+const cutSweepSHA256 = "351cff2d35c1b9698875a2f234331cb5a268236314c765d279ee03ed4ff2eb8c"
 
 func TestPowerFailSweepByteIdenticalAcrossRuns(t *testing.T) {
 	cfg := crashConfig(1)
