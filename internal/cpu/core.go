@@ -238,12 +238,11 @@ func (c *Core) request(op mem.Op, addr uint64, size uint32, tok *token) *mem.Req
 	return r
 }
 
-// submitRetry submits r until accepted, advancing the engine under
-// backpressure.
+// submitRetry submits r until accepted, advancing the engine one event
+// per refusal.
 func (c *Core) submitRetry(r *mem.Request) {
 	for !c.sys.Submit(r) {
-		c.eng.Step()
-		if c.eng.Pending() == 0 && !c.sys.Submit(r) {
+		if !c.eng.Step() {
 			panic("cpu: memory system rejected request with no pending events")
 		}
 	}

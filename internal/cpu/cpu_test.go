@@ -403,3 +403,46 @@ func TestMkptEventsScaleWithLoads(t *testing.T) {
 			loads, st.Cycles, fired, 2*loads)
 	}
 }
+
+// gateSystem refuses every request until its one pending event opens the
+// gate, then accepts each with a fixed latency, logging the accepted IDs.
+type gateSystem struct {
+	eng      *sim.Engine
+	open     bool
+	accepted []uint64
+}
+
+func (g *gateSystem) Engine() *sim.Engine    { return g.eng }
+func (g *gateSystem) CyclesPerNano() float64 { return 1 }
+func (g *gateSystem) Drained() bool          { return true }
+
+func (g *gateSystem) Submit(r *mem.Request) bool {
+	if !g.open {
+		return false
+	}
+	g.accepted = append(g.accepted, r.ID)
+	r.Issued = g.eng.Now()
+	g.eng.After(20, func() { r.Complete(g.eng.Now()) })
+	return true
+}
+
+// TestSubmitRetryOffersAcceptedRequestOnce: a store refused until the
+// engine's last pending event frees the slot is accepted exactly once. The
+// retry used to offer it again inside its empty-engine check and, that
+// offer accepted, once more in the loop condition.
+func TestSubmitRetryOffersAcceptedRequestOnce(t *testing.T) {
+	g := &gateSystem{eng: sim.NewEngine()}
+	// Far past the store's issue cycle, so the core's RunUntil to the
+	// issue cycle leaves it pending and the first offer is refused.
+	g.eng.Schedule(1_000_000, func() { g.open = true })
+	core := New(DefaultConfig(), g)
+	st := core.Run(&SliceWorkload{Instrs: []Instr{
+		{IsMem: true, NT: true, Addr: 4096, Class: ClassWrite}}})
+	if len(g.accepted) != 1 || st.MemWrites != 1 {
+		t.Fatalf("one NT store: system accepted IDs %v, MemWrites %d; want one acceptance",
+			g.accepted, st.MemWrites)
+	}
+	if g.eng.Pending() != 0 {
+		t.Fatalf("%d events pending after the run, want 0", g.eng.Pending())
+	}
+}
