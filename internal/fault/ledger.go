@@ -96,84 +96,31 @@ func (l *Ledger) record(addr uint64, data []byte) {
 
 // RunToCut replays accs into sys with up to window outstanding requests,
 // then cuts power at cycle cut: no submission is attempted and no engine
-// event runs past the cut. The returned ledger holds every write the system
-// accepted (the ADR-durable set at the cut); writes still being retried
-// against a full queue — the model's analogue of data in CPU buffers — are
-// counted as lost.
+// event runs past the cut (mem.Driver.RunWindowUntil). The returned ledger
+// holds every write the system accepted (the ADR-durable set at the cut);
+// writes still being retried against a full queue — the model's analogue
+// of data in CPU buffers — are counted as lost.
 //
-// Unlike mem.Driver, RunToCut never drains: power is gone. The caller
-// recovers the system (vans.System.Recover) and verifies with Ledger.Verify.
+// Unlike a full driver run, RunToCut never drains: power is gone. The
+// caller recovers the system (vans.System.Recover) and verifies with
+// Ledger.Verify.
 func RunToCut(sys mem.System, accs []mem.Access, window int, cut sim.Cycle) *Ledger {
-	if window < 1 {
-		window = 1
-	}
-	eng := sys.Engine()
 	led := NewLedger()
-	for i := range accs {
-		if accs[i].Op.IsWrite() {
-			led.touched[mem.AlignDown(accs[i].Addr, mem.CacheLine)] = true
-		}
-	}
-
-	// stepOne advances the engine by exactly one event if that event is at
-	// or before the cut; it reports false when the next event (or silence)
-	// lies beyond the cut — the moment power fails. The parked polls tick
-	// on up to the cut, so the clock stops at the last tick at or before
-	// it, as it would under a poll that re-armed itself.
-	stepOne := func() bool {
-		if at, ok := eng.NextAt(); !ok || at > cut {
-			eng.PassUntil(cut)
-			return false
-		}
-		return eng.Step()
-	}
-
-	// One completion bound for the run, a refused request kept for the next
-	// attempt, completed ones recycled: the replay retries after every
-	// engine event, so an attempt must cost nothing.
-	var free sim.FreeList[mem.Request]
-	inflight := 0
-	onDone := func(r *mem.Request) {
-		inflight--
-		free.Put(r)
-	}
-	var r *mem.Request
-	i := 0
-	alive := true
-	for i < len(accs) && alive {
-		if eng.Now() > cut {
-			break
-		}
-		a := accs[i]
-		if inflight >= window {
-			alive = stepOne()
+	// The stream is accepted in order, so its first n accesses are the
+	// accepted ones, in acceptance order.
+	n := mem.NewDriver(sys).RunWindowUntil(accs, window, cut)
+	for i, a := range accs {
+		if !a.Op.IsWrite() {
 			continue
 		}
-		if r == nil {
-			r = free.Get()
-			*r = mem.Request{ID: uint64(i + 1), Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data, OnDone: onDone}
-		}
-		if !sys.Submit(r) {
-			// Backpressure: the write sits in the CPU, outside ADR.
-			alive = stepOne()
-			continue
-		}
-		r = nil
-		if a.Op.IsWrite() {
+		led.touched[mem.AlignDown(a.Addr, mem.CacheLine)] = true
+		if i < n {
 			led.record(a.Addr, a.Data)
-		}
-		inflight++
-		i++
-	}
-	for ; i < len(accs); i++ {
-		if accs[i].Op.IsWrite() {
+		} else {
 			led.lost++
 		}
 	}
-	led.endCycle = eng.Now()
-	if led.endCycle > cut {
-		led.endCycle = cut
-	}
+	led.endCycle = sys.Engine().Now()
 	return led
 }
 

@@ -8,97 +8,22 @@ import (
 // MultiStreamBandwidth drives `streams` independent access sequences into
 // one system concurrently, each with its own outstanding window — the
 // multi-threaded access pattern whose poor scaling on Optane the follow-on
-// literature attributes to WPQ/RMW/AIT contention. It returns the aggregate
-// GB/s.
+// literature attributes to WPQ/RMW/AIT contention. Stream i replays
+// perStream[i%len(perStream)]. It returns the aggregate GB/s.
 //
-// Streams are interleaved at submission: every stream keeps up to
-// perStreamWindow requests in flight, and the engine advances whenever all
-// runnable streams are blocked.
+// Streams are interleaved at submission by mem.Driver.RunStreams: every
+// stream keeps up to perStreamWindow requests in flight, and the engine
+// advances whenever all runnable streams are blocked.
 func MultiStreamBandwidth(mk MakeSystem, streams int, perStream []([]mem.Access),
 	perStreamWindow int) float64 {
 	sys := mk()
-	eng := sys.Engine()
-	if perStreamWindow < 1 {
-		perStreamWindow = 1
-	}
-
-	// Each stream binds its completion once, keeps a refused request for
-	// its next attempt, and recycles completed requests: the streams retry
-	// after every engine event, so an attempt must cost nothing.
-	type streamState struct {
-		accs     []mem.Access
-		next     int
-		inflight int
-		held     *mem.Request
-		onDone   func(*mem.Request)
-	}
-	var free sim.FreeList[mem.Request]
-	states := make([]*streamState, streams)
+	all := make([][]mem.Access, streams)
 	var totalBytes uint64
-	for i := 0; i < streams; i++ {
-		st := &streamState{accs: perStream[i%len(perStream)]}
-		st.onDone = func(r *mem.Request) {
-			st.inflight--
-			free.Put(r)
-		}
-		states[i] = st
-		totalBytes += uint64(len(st.accs)) * 64
+	for i := range all {
+		all[i] = perStream[i%len(perStream)]
+		totalBytes += uint64(len(all[i])) * 64
 	}
-
-	start := eng.Now()
-	var id uint64
-	remaining := streams
-	for remaining > 0 {
-		progressed := false
-		for _, st := range states {
-			if st.next >= len(st.accs) {
-				continue
-			}
-			for st.inflight < perStreamWindow && st.next < len(st.accs) {
-				r := st.held
-				if r == nil {
-					a := st.accs[st.next]
-					id++
-					r = free.Get()
-					*r = mem.Request{ID: id, Op: a.Op, Addr: a.Addr, Size: a.Size, OnDone: st.onDone}
-				}
-				if !sys.Submit(r) {
-					st.held = r
-					break
-				}
-				st.held = nil
-				st.next++
-				st.inflight++
-				progressed = true
-				if st.next >= len(st.accs) {
-					remaining--
-				}
-			}
-		}
-		if !progressed {
-			if eng.Pending() == 0 {
-				panic("lens: multistream stalled with no pending events")
-			}
-			eng.Step()
-		}
-	}
-	// Drain all in-flight requests.
-	for {
-		busy := false
-		for _, st := range states {
-			if st.inflight > 0 {
-				busy = true
-			}
-		}
-		if !busy {
-			break
-		}
-		if eng.Pending() == 0 {
-			panic("lens: multistream drain stalled")
-		}
-		eng.Step()
-	}
-	elapsed := eng.Now() - start
+	elapsed := mem.NewDriver(sys).RunStreams(all, perStreamWindow)
 	return mem.BandwidthGBs(sys, totalBytes, elapsed)
 }
 

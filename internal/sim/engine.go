@@ -135,9 +135,7 @@ func (e *Engine) notePeak() {
 
 // NextAt peeks at the timestamp of the earliest pending real event: a
 // queued event or the tick a parked poll is due to fire. ok is false when
-// there is none. Used by drivers that must stop the simulation at an exact
-// cycle (power-fail cuts) without firing anything beyond it; PassUntil then
-// moves the parked polls up to the cut.
+// there is none.
 func (e *Engine) NextAt() (Cycle, bool) {
 	at := Never
 	if ev, _ := e.head(); ev != nil {
@@ -205,13 +203,15 @@ func (e *Engine) head() (*event, int) {
 	return ev, b
 }
 
-// step fires the earliest real event if its cycle is at most limit, first
-// passing the parked ticks that precede it in (cycle, seq) order. It
+// StepUntil fires the earliest real event if its cycle is at most limit,
+// first passing the parked ticks that precede it in (cycle, seq) order. It
 // reports false, firing nothing, when no real event is due by limit; every
-// parked tick at or before limit has then been passed. With no limit and
-// only parked polls that nothing will wake, it never returns, as the
-// re-arming callbacks they stand for would fire forever.
-func (e *Engine) step(limit Cycle) bool {
+// parked tick at or before limit has then been passed, so the clock stands
+// at the last of them, where a poll that re-armed itself would have left
+// it. A power-fail cut at cycle c is therefore `for e.StepUntil(c) {}`.
+// With no limit and only parked polls that nothing will wake, it never
+// returns, as the re-arming callbacks they stand for would fire forever.
+func (e *Engine) StepUntil(limit Cycle) bool {
 	for {
 		ev, b := e.head()
 		if len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
@@ -253,7 +253,7 @@ func (e *Engine) step(limit Cycle) bool {
 // no events remain. Pump loops that must re-check model state after every
 // event (retrying a refused submission, waiting for a free slot) are built
 // on it; they skip parked ticks, which change no state a pump re-checks.
-func (e *Engine) Step() bool { return e.step(Never) }
+func (e *Engine) Step() bool { return e.StepUntil(Never) }
 
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
@@ -266,7 +266,7 @@ func (e *Engine) Run() {
 // has not already passed it. The caller acts at the deadline, so the
 // sequence numbers those ticks spend must already be spent.
 func (e *Engine) RunUntil(deadline Cycle) {
-	for e.step(deadline) {
+	for e.StepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -277,23 +277,6 @@ func (e *Engine) RunUntil(deadline Cycle) {
 // cond is checked before each event.
 func (e *Engine) RunWhile(cond func() bool) {
 	for cond() && e.Step() {
-	}
-}
-
-// PassUntil passes every parked tick at or before limit that precedes the
-// next real event, leaving Now at the last one passed. It fires nothing: a
-// power-fail cut calls it once NextAt lies beyond the cut, so the clock
-// stops where the last (no-op) poll at or before the cut left it.
-func (e *Engine) PassUntil(limit Cycle) {
-	for len(e.parked) > 0 {
-		p := e.earliestParked()
-		if p.at > limit || p.at >= p.due {
-			return
-		}
-		if ev, _ := e.head(); ev != nil && !p.before(ev) {
-			return
-		}
-		e.pass(p)
 	}
 }
 

@@ -43,7 +43,7 @@ func (h *oracleHeap) Pop() interface{} {
 }
 
 // oracle runs the oracle heap with Engine's clock. It has no parked polls,
-// so PassUntil has nothing to pass.
+// so StepUntil has no tick to pass.
 type oracle struct {
 	h     oracleHeap
 	now   Cycle
@@ -84,13 +84,9 @@ func (o *oracle) RunUntil(deadline Cycle) {
 	}
 	o.now = max(o.now, deadline)
 }
-func (o *oracle) NextAt() (Cycle, bool) {
-	if o.h.Len() == 0 {
-		return 0, false
-	}
-	return o.h[0].at, true
+func (o *oracle) StepUntil(limit Cycle) bool {
+	return o.h.Len() > 0 && o.h[0].at <= limit && o.Step()
 }
-func (o *oracle) PassUntil(Cycle) {}
 
 // scheduler is what the scenarios drive: an Engine or the oracle.
 type scheduler interface {
@@ -102,8 +98,7 @@ type scheduler interface {
 	Run()
 	RunWhile(cond func() bool)
 	RunUntil(deadline Cycle)
-	NextAt() (Cycle, bool)
-	PassUntil(limit Cycle)
+	StepUntil(limit Cycle) bool
 }
 
 // clockOf returns s's (Now, seq) pair.
@@ -335,7 +330,7 @@ func (f pollForm) String() string {
 // parked form for nothing. The run drains partway with RunUntil, then pumps
 // Step with an actor that submits between steps (accepted only while it
 // holds tokens, so a refused submit has no effect), optionally cuts power
-// through NextAt and PassUntil the way fault.RunToCut does, and finishes
+// with StepUntil the way mem.Driver.RunWindowUntil does, and finishes
 // with Run.
 func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	rng := rand.New(rand.NewSource(seed*7919 + 3))
@@ -487,17 +482,12 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 		}
 	}
 
-	// A power-fail cut: step while the next real event is at or before the
-	// cut, then pass the parked ticks up to it.
+	// A power-fail cut: fire every real event at or before the cut, passing
+	// the parked ticks up to it.
 	var cut clock
 	if seed%2 == 0 {
 		limit := s.Now() + in(50)
-		for {
-			if at, ok := s.NextAt(); !ok || at > limit {
-				s.PassUntil(limit)
-				break
-			}
-			s.Step()
+		for s.StepUntil(limit) {
 		}
 		cut = clockOf(s)
 	}
@@ -556,7 +546,8 @@ func TestWakeReusesTheParkedSlot(t *testing.T) {
 
 // TestParkedPollPendingAndNextAt pins how a parked poll shows to pumps and
 // cut drivers: it counts as one pending event, NextAt reports only the tick
-// it is due to fire, and PassUntil moves it along its grid without firing.
+// it is due to fire, and StepUntil short of that tick moves it along its
+// grid without firing.
 func TestParkedPollPendingAndNextAt(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -569,9 +560,11 @@ func TestParkedPollPendingAndNextAt(t *testing.T) {
 	if at, ok := e.NextAt(); !ok || at != 19 {
 		t.Fatalf("NextAt = %d,%v, want 19,true", at, ok)
 	}
-	e.PassUntil(12)
+	if e.StepUntil(12) {
+		t.Fatal("StepUntil(12) fired an event; the first due tick is at 19")
+	}
 	if e.Now() != 11 || e.seq != 4 || fired != 0 {
-		t.Fatalf("after PassUntil(12): now %d seq %d fired %d, want 11 4 0", e.Now(), e.seq, fired)
+		t.Fatalf("after StepUntil(12): now %d seq %d fired %d, want 11 4 0", e.Now(), e.seq, fired)
 	}
 	p.Wake()
 	if at, ok := e.NextAt(); !ok || at != 15 {
