@@ -86,7 +86,8 @@ type Request struct {
 	// Meta belongs to the issuer: it carries per-request context to OnDone,
 	// so one callback bound once can serve recycled requests without a
 	// closure each (the CPU core points it at the waiting instruction's
-	// completion token). Systems never read or write it.
+	// completion token, the driver at the request's stream). Systems never
+	// read or write it.
 	Meta any
 }
 
