@@ -129,6 +129,58 @@ func checkRefusedLine(t *testing.T, eng *sim.Engine, q *nvdimm.LSQ, offer func(l
 	eng.Run()
 }
 
+// TestDrainRetryWithReads pins a channel whose WPQ drain is refused by a
+// full DIMM LSQ while reads share its bus: seq NT stores pumped through
+// Write with a step-and-retry loop, and reads of lines the stores never
+// touch until the last store is accepted. The gap between reads cycles
+// from 300 to 5,200 cycles, so some refusals find a read in flight and
+// others an idle read path. A refused drain retry acquires the bus for a
+// write transfer, so each read's timing depends on where the retries
+// stand; the end cycle, the DIMM's LSQStalls and the completed-request
+// count pin that interplay.
+func TestDrainRetryWithReads(t *testing.T) {
+	const (
+		stores   = 8192
+		readBase = 16 << 20
+	)
+	readGap := func(k int) sim.Cycle { return sim.Cycle(300 + k%8*700) }
+	eng, m := newIMC(t, 1, false)
+	completed, reads := 0, 0
+	storeDone := func(any) { completed++ }
+	readDone := func(any, error) { completed++ }
+	issued := 0
+	var reader func()
+	reader = func() {
+		if issued == stores {
+			return
+		}
+		if m.Read(readBase+uint64(reads)*4096, readDone, nil) {
+			reads++
+		}
+		eng.After(readGap(reads), reader)
+	}
+	eng.After(readGap(0), reader)
+	for issued < stores {
+		if m.Write(uint64(issued)*64, nil, storeDone, nil) {
+			issued++
+			continue
+		}
+		if !eng.Step() {
+			t.Fatalf("the engine ran dry with store %d refused", issued)
+		}
+	}
+	eng.Run()
+	stalls := m.Channels()[0].DIMM().Stats().LSQStalls
+	if completed != stores+reads {
+		t.Fatalf("%d requests completed, want %d stores and %d reads", completed, stores, reads)
+	}
+	const wantEnd, wantStalls, wantReads = 656088, 3784, 236
+	if eng.Now() != wantEnd || stalls != wantStalls || reads != wantReads {
+		t.Fatalf("ended at cycle %d with %d LSQ stalls and %d reads, want %d, %d and %d",
+			eng.Now(), stalls, reads, wantEnd, wantStalls, wantReads)
+	}
+}
+
 func TestWPQMergeAvoidsBackpressure(t *testing.T) {
 	eng, m := newIMC(t, 1, false)
 	// Hammer the same line: merging must always accept.
