@@ -279,6 +279,12 @@ type Channel struct {
 	// the DIMM (so LSQ backpressure can never lose a write).
 	drainLine uint64
 	haveDrain bool
+	// retry is the parked form of the held line's retry loop while the
+	// DIMM LSQ refuses it (see parkRetry); retryAt is the refusal's cycle
+	// and retrySettled how many passed ticks catchUp has applied.
+	retry        sim.Poll
+	retryAt      sim.Cycle
+	retrySettled int
 
 	transferCyc sim.Cycle
 	readOverCyc sim.Cycle
@@ -314,6 +320,8 @@ func newChannel(eng *sim.Engine, cfg Config, d *nvdimm.DIMM, idx int) *Channel {
 		drainCyc:    dram.NsToCycles(cfg.WriteDrainNs),
 	}
 	ch.bus = bus{transfer: ch.transferCyc, turn: dram.NsToCycles(cfg.BusTurnNs)}
+	ch.retry.InitTwoPhase(eng, ch.transferCyc, ch.drainCyc, chanDrainRetry, ch)
+	d.WakeOnPop(&ch.retry)
 	if cfg.Obs != nil {
 		ch.o = cfg.Obs
 		ch.comp = fmt.Sprintf("imc%d", idx)
@@ -367,6 +375,7 @@ func (ch *Channel) read(addr uint64, done func(any, error), arg any) bool {
 		return true
 	}
 	ch.rpqInFlight++
+	ch.settleRetry()
 	start := ch.bus.acquire(ch.eng.Now(), false)
 	ch.eng.ScheduleFn(start+ch.transferCyc+ch.readOverCyc/2, chanReadIssue, r)
 	return true
@@ -384,6 +393,7 @@ func chanReadReturn(a any, err error) {
 	r := a.(*chanRead)
 	ch := r.ch
 	r.err = err
+	ch.settleRetry()
 	ret := ch.bus.acquire(ch.eng.Now(), false)
 	ch.eng.ScheduleFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadDone, r)
 }
@@ -484,6 +494,10 @@ func (ch *Channel) drainStep() {
 func (ch *Channel) drainPush() {
 	if !ch.dimm.AcceptWrite(ch.drainLine, nil) {
 		// LSQ full: hold the line and retry after a drain interval.
+		if ch.rpqInFlight == 0 {
+			ch.parkRetry()
+			return
+		}
 		ch.eng.AfterFn(ch.drainCyc, chanDrainStep, ch)
 		return
 	}
@@ -494,6 +508,59 @@ func (ch *Channel) drainPush() {
 		}
 	}
 	ch.eng.AfterFn(ch.drainCyc, chanDrainStep, ch)
+}
+
+// parkRetry parks the retry of the held line the full DIMM LSQ just
+// refused. Its re-arming form is drainStep a drain interval later, which
+// takes the bus for a write transfer, then drainPush a transfer later,
+// refused again while the LSQ stays full: a two-phase poll whose ticks
+// change only the bus and the DIMM's stall count, both settled by
+// catchUp. The DIMM wakes it when it pops a group, and reads settle and
+// wake it before they take the bus. With a read in flight the bus may
+// already be reserved past the refusal, which catchUp does not model, so
+// drainPush retries with real events instead.
+func (ch *Channel) parkRetry() {
+	ch.retryAt, ch.retrySettled = ch.eng.Now(), 0
+	ch.retry.Park(ch.drainCyc, sim.Never)
+}
+
+// catchUp applies what the parked retry's passed ticks would have done had
+// they fired. The k-th passed drainStep found the bus free and took it at
+// its tick, retryAt + k*(drainCyc+transferCyc) + drainCyc, leaving it free a
+// transfer later in the write direction; every passed drainPush was
+// refused.
+func (ch *Channel) catchUp() {
+	n := ch.retry.Passed()
+	if n == ch.retrySettled {
+		return
+	}
+	if steps := (n + 1) / 2; steps > (ch.retrySettled+1)/2 {
+		ch.bus.free = ch.retryAt + sim.Cycle(steps)*(ch.drainCyc+ch.transferCyc)
+		ch.bus.lastDir, ch.bus.haveDir = true, true
+	}
+	ch.dimm.NoteRefused(uint64(n/2 - ch.retrySettled/2))
+	ch.retrySettled = n
+}
+
+// settleRetry brings a parked retry up to date just before a read takes the
+// bus, and wakes it so that its next tick fires for real and sees the
+// read's transfer.
+func (ch *Channel) settleRetry() {
+	ch.catchUp()
+	ch.retry.Wake()
+}
+
+// chanDrainRetry fires a woken tick of the parked retry: it settles the
+// passed ticks, then runs the hop the re-arming retry would at this tick,
+// drainStep on even ticks and drainPush on odd ones.
+func chanDrainRetry(a any) {
+	ch := a.(*Channel)
+	ch.catchUp()
+	if ch.retry.Passed()%2 == 0 {
+		ch.drainStep()
+	} else {
+		ch.drainPush()
+	}
 }
 
 // chanFence is one channel's part of a fence: it waits, parked on the drain

@@ -56,6 +56,9 @@ type DIMM struct {
 	// poll (see drainStep).
 	draining bool
 	drain    sim.Poll
+	// popWake, when set, is the sender's parked retry that a pop wakes
+	// (see WakeOnPop).
+	popWake *sim.Poll
 	// flushing forces drain regardless of age/occupancy thresholds;
 	// flushWaits are the flushes waiting for the LSQ to empty.
 	flushing   int
@@ -706,6 +709,17 @@ func (d *DIMM) AcceptWrite(addr uint64, data []byte) bool {
 	return true
 }
 
+// WakeOnPop registers p, a sender's parked retry of a store AcceptWrite
+// refused, to be woken whenever the LSQ pops a group. A pop is the only
+// way a full LSQ gains room, so the sender need not offer the line again
+// until then; it counts the offers it skipped with NoteRefused.
+func (d *DIMM) WakeOnPop(p *sim.Poll) { d.popWake = p }
+
+// NoteRefused counts n offers of a store that a full LSQ would have
+// refused, exactly as n refused AcceptWrite calls would: while the LSQ is
+// full its drain is running, so a refusal only counts a stall.
+func (d *DIMM) NoteRefused(n uint64) { d.stats.LSQStalls += n }
+
 // AcceptWriteData commits functional contents through the current
 // translation without timing effects; the iMC uses it when the timing path
 // tracks only addresses (WPQ entries carry no payload in the model).
@@ -770,6 +784,9 @@ func (d *DIMM) drainStep() {
 	if !ok {
 		d.draining = false
 		return
+	}
+	if d.popWake != nil {
+		d.popWake.Wake()
 	}
 	if d.histLSQWait != nil {
 		if now > g.Enq {

@@ -211,41 +211,42 @@ func (e *Engine) head() (*event, int) {
 // it. A power-fail cut at cycle c is therefore `for e.StepUntil(c) {}`.
 // With no limit and only parked polls that nothing will wake, it never
 // returns, as the re-arming callbacks they stand for would fire forever.
+//
+// The queue head is looked up once per call: passing a tick pushes and
+// pops nothing, and the clock it moves stays at or before the head.
 func (e *Engine) StepUntil(limit Cycle) bool {
-	for {
-		ev, b := e.head()
-		if len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
-			p := e.earliestParked()
-			if ev == nil || p.before(ev) {
-				if p.at > limit {
-					return false
-				}
-				if p.at >= p.due {
-					e.unpark(p)
-					e.now = p.at
-					e.fired++
-					p.fn(p.arg)
-					return true
-				}
-				e.pass(p)
-				continue
-			}
+	ev, b := e.head()
+	for len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
+		p := e.earliestParked()
+		if ev != nil && !p.before(ev) {
+			break
 		}
-		if ev == nil || ev.at > limit {
+		if p.at > limit {
 			return false
 		}
-		e.now = ev.at
-		var fn func(any)
-		var arg any
-		if b >= 0 {
-			fn, arg = e.ringPop(b)
-		} else {
-			fn, arg = e.heapPop()
+		if p.at >= p.due {
+			e.unpark(p)
+			e.now = p.at
+			e.fired++
+			p.fn(p.arg)
+			return true
 		}
-		e.fired++
-		fn(arg)
-		return true
+		e.pass(p)
 	}
+	if ev == nil || ev.at > limit {
+		return false
+	}
+	e.now = ev.at
+	var fn func(any)
+	var arg any
+	if b >= 0 {
+		fn, arg = e.ringPop(b)
+	} else {
+		fn, arg = e.heapPop()
+	}
+	e.fired++
+	fn(arg)
+	return true
 }
 
 // Step executes the earliest pending real event, advancing time to it and

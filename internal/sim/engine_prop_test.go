@@ -138,7 +138,9 @@ const (
 // (eventScenario), then checks parked polls (pollScenario): the same
 // scenario runs with literal AfterFn re-arming polls on the oracle and on
 // the engine, and with Poll on the engine, and both engine runs must fire
-// what the oracle fires. Trials cycle through the shapes and, within each,
+// what the oracle fires. Each trial runs the poll scenario twice: with
+// one-period polls, and with two-phase polls whose re-arming form
+// alternates two delays. Trials cycle through the shapes and, within each,
 // through the three ways to drain to empty: Run, RunWhile and a Step loop.
 func TestEnginePropertyVsOracle(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
@@ -160,33 +162,44 @@ func TestEnginePropertyVsOracle(t *testing.T) {
 		if shape != shapeNear {
 			scale = 512
 		}
-		ref, refCut := pollScenario(int64(trial), pollOracle, scale)
-		for _, form := range []pollForm{pollRearm, pollParked} {
-			run, cut := pollScenario(int64(trial), form, scale)
-			if len(run.firings) != len(ref.firings) {
-				t.Fatalf("trial %d: %s run fired %d real events, oracle %d",
-					trial, form, len(run.firings), len(ref.firings))
+		for _, twoPhase := range []bool{false, true} {
+			checkPollScenario(t, trial, scale, twoPhase)
+		}
+	}
+}
+
+// checkPollScenario runs pollScenario in its three forms and compares the
+// re-arming and parked engine runs with the oracle.
+func checkPollScenario(t *testing.T, trial int, scale Cycle, twoPhase bool) {
+	t.Helper()
+	ref, refCut := pollScenario(t, int64(trial), pollOracle, scale, twoPhase)
+	for _, form := range []pollForm{pollRearm, pollParked} {
+		run, cut := pollScenario(t, int64(trial), form, scale, twoPhase)
+		if len(run.firings) != len(ref.firings) {
+			t.Fatalf("trial %d (two-phase %v): %s run fired %d real events, oracle %d",
+				trial, twoPhase, form, len(run.firings), len(ref.firings))
+		}
+		for i := range run.firings {
+			if run.firings[i] != ref.firings[i] {
+				t.Fatalf("trial %d (two-phase %v): real firing %d: %s %+v, oracle %+v",
+					trial, twoPhase, i, form, run.firings[i], ref.firings[i])
 			}
-			for i := range run.firings {
-				if run.firings[i] != ref.firings[i] {
-					t.Fatalf("trial %d: real firing %d: %s %+v, oracle %+v",
-						trial, i, form, run.firings[i], ref.firings[i])
-				}
-			}
-			if cut != refCut {
-				t.Fatalf("trial %d: at the cut %s (now, seq) = %+v, oracle %+v", trial, form, cut, refCut)
-			}
-			if run.now != ref.now || run.seq != ref.seq {
-				t.Fatalf("trial %d: %s run ended at (now %d, seq %d), oracle at (%d, %d)",
-					trial, form, run.now, run.seq, ref.now, ref.seq)
-			}
-			if form == pollRearm && run.fired != ref.fired {
-				t.Fatalf("trial %d: re-arming run fired %d events, oracle %d", trial, run.fired, ref.fired)
-			}
-			if form == pollParked && ref.passes > 0 && run.fired >= ref.fired {
-				t.Fatalf("trial %d: parked run fired %d events, re-arming run %d: no tick was passed",
-					trial, run.fired, ref.fired)
-			}
+		}
+		if cut != refCut {
+			t.Fatalf("trial %d (two-phase %v): at the cut %s (now, seq) = %+v, oracle %+v",
+				trial, twoPhase, form, cut, refCut)
+		}
+		if run.now != ref.now || run.seq != ref.seq {
+			t.Fatalf("trial %d (two-phase %v): %s run ended at (now %d, seq %d), oracle at (%d, %d)",
+				trial, twoPhase, form, run.now, run.seq, ref.now, ref.seq)
+		}
+		if form == pollRearm && run.fired != ref.fired {
+			t.Fatalf("trial %d (two-phase %v): re-arming run fired %d events, oracle %d",
+				trial, twoPhase, run.fired, ref.fired)
+		}
+		if form == pollParked && ref.passes > 0 && run.fired >= ref.fired {
+			t.Fatalf("trial %d (two-phase %v): parked run fired %d events, re-arming run %d: no tick was passed",
+				trial, twoPhase, run.fired, ref.fired)
 		}
 	}
 }
@@ -322,6 +335,15 @@ func (f pollForm) String() string {
 // as they fire the same real events in the same order. Every cycle drawn
 // (periods, due cycles, delays, deadlines) is scaled by scale.
 //
+// With twoPhase, each poll has two periods: the k-th no-op tick since the
+// poll last acted re-arms with the k-th period alternately, and a poll that
+// acts starts over. Its parked form is InitTwoPhase, and its logged action
+// carries the parity of the tick, Passed in the parked form. A parked
+// two-phase tick that fires for real must act, since parking again starts
+// the alternation over, so only the mutator that hands a poll work wakes
+// one; its wakes land on ticks of either parity, and it acts after an odd
+// number of passed ticks as often as after an even one.
+//
 // A poll acts when it has work or its due cycle has come. Acting logs a
 // firing, may schedule a child event less than one period ahead (so it can
 // land on a tick cycle), and either stops the poll for good or picks a new
@@ -331,8 +353,9 @@ func (f pollForm) String() string {
 // Step with an actor that submits between steps (accepted only while it
 // holds tokens, so a refused submit has no effect), optionally cuts power
 // with StepUntil the way mem.Driver.RunWindowUntil does, and finishes
-// with Run.
-func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
+// with Run. Before each of the pump's steps on an engine, NextAt must name
+// the cycle that step fires at.
+func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase bool) (pollRun, clock) {
 	rng := rand.New(rand.NewSource(seed*7919 + 3))
 	in := func(n int) Cycle { return Cycle(rng.Intn(n * int(scale))) }
 	var e *Engine
@@ -347,10 +370,11 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	n := 1 + rng.Intn(4)
 	type pollState struct {
 		id     int
-		period Cycle
+		period [2]Cycle
 		work   bool
 		due    Cycle
 		acts   int
+		ticks  int // no-op ticks since the poll last acted (re-arming forms)
 		poll   Poll
 	}
 	ps := make([]*pollState, n)
@@ -389,6 +413,9 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 		}
 	}
 	mutate := func(p *pollState, kind int) func() {
+		if twoPhase {
+			kind = 0
+		}
 		return func() {
 			run.firings = append(run.firings, firing{s.Now(), -1 - p.id})
 			switch kind {
@@ -408,19 +435,29 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	}
 	tick = func(a any) {
 		p := a.(*pollState)
+		k := p.ticks
+		if parked {
+			k = p.poll.Passed()
+		}
 		if !p.work && s.Now() < p.due {
 			if !parked {
 				run.passes++
 			}
-			rearm(p, p.period)
+			p.ticks++
+			rearm(p, p.period[k&1])
 			return
 		}
-		run.firings = append(run.firings, firing{s.Now(), p.id})
+		id := p.id
+		if twoPhase {
+			id += 100 * (k & 1)
+		}
+		run.firings = append(run.firings, firing{s.Now(), id})
 		p.work = false
 		p.acts++
+		p.ticks = 0
 		if rng.Intn(2) == 0 {
 			nextID++
-			s.After(Cycle(rng.Intn(int(p.period))), event(nextID, 1))
+			s.After(Cycle(rng.Intn(int(p.period[1]))), event(nextID, 1))
 		}
 		if p.acts >= 4 {
 			return // stopped for good
@@ -431,12 +468,16 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 		} else {
 			p.due = s.Now() + in(80)
 		}
-		rearm(p, p.period)
+		rearm(p, p.period[1])
 	}
 	for i := range ps {
-		p := &pollState{id: i, period: 1 + in(9), due: in(100)}
+		period := 1 + in(9)
+		p := &pollState{id: i, period: [2]Cycle{period, period}, due: in(100)}
+		if twoPhase {
+			p.period[1] = 1 + in(9)
+		}
 		if parked {
-			p.poll.Init(e, p.period, tick, p)
+			p.poll.InitTwoPhase(e, p.period[0], p.period[1], tick, p)
 		}
 		ps[i] = p
 		rearm(p, 1+in(5))
@@ -453,7 +494,7 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	// Drain partway; the caller then acts at the deadline.
 	s.RunUntil(20*scale + in(60))
 	p := ps[rng.Intn(n)]
-	s.After(Cycle(rng.Intn(int(p.period))), mutate(p, rng.Intn(3)))
+	s.After(Cycle(rng.Intn(int(p.period[1]))), mutate(p, rng.Intn(3)))
 
 	// A pump: submit until refused, then step unless done. A submit spends
 	// a token and schedules work or mutates a poll on the spot; the pump
@@ -477,8 +518,18 @@ func pollScenario(seed int64, form pollForm, scale Cycle) (pollRun, clock) {
 	for target := len(run.firings) + 10 + rng.Intn(30); ; {
 		for submit() {
 		}
-		if len(run.firings) >= target || !s.Step() {
+		if len(run.firings) >= target {
 			break
+		}
+		at, ok := Cycle(0), false
+		if e != nil {
+			at, ok = e.NextAt()
+		}
+		if !s.Step() {
+			break
+		}
+		if e != nil && (!ok || e.Now() != at) {
+			t.Fatalf("seed %d: %s form: NextAt said %d,%v, the step fired at %d", seed, form, at, ok, e.Now())
 		}
 	}
 
@@ -574,6 +625,47 @@ func TestParkedPollPendingAndNextAt(t *testing.T) {
 	if fired != 1 || e.Now() != 15 || e.Pending() != 0 || e.Fired() != 1 {
 		t.Fatalf("fired %d at %d (pending %d, Fired %d), want 1 at 15 (0, 1)",
 			fired, e.Now(), e.Pending(), e.Fired())
+	}
+}
+
+// TestTwoPhasePollGrid pins a two-phase poll's grid: from each Park its
+// ticks re-arm with the first period and the second alternately, Passed
+// counts the ticks passed since that Park, and NextAt finds the first tick
+// at or after the due cycle on either phase.
+func TestTwoPhasePollGrid(t *testing.T) {
+	e := NewEngine()
+	type fire struct {
+		at     Cycle
+		passed int
+	}
+	var got []fire
+	var p Poll
+	p.InitTwoPhase(e, 3, 5, func(any) {
+		got = append(got, fire{e.Now(), p.Passed()})
+		if len(got) == 1 {
+			p.Park(2, 20) // ticks at 7, 10, 15, 18, 23: the first due is 23
+		}
+	}, nil)
+	p.Park(2, Never) // ticks at 2, 5, 10, 13, ...
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt reported a tick of a poll only a wake can make due")
+	}
+	if e.StepUntil(3) || e.Now() != 2 || p.Passed() != 1 {
+		t.Fatalf("after StepUntil(3): now %d, passed %d; want 2 and 1, nothing fired", e.Now(), p.Passed())
+	}
+	p.Wake()
+	if at, ok := e.NextAt(); !ok || at != 5 {
+		t.Fatalf("NextAt after Wake = %d,%v, want 5,true", at, ok)
+	}
+	if !e.Step() {
+		t.Fatal("the woken tick did not fire")
+	}
+	if at, ok := e.NextAt(); !ok || at != 23 {
+		t.Fatalf("NextAt after the re-park = %d,%v, want 23,true", at, ok)
+	}
+	e.Run()
+	if len(got) != 2 || got[0] != (fire{5, 1}) || got[1] != (fire{23, 4}) {
+		t.Fatalf("fired %+v, want [{5 1} {23 4}]", got)
 	}
 }
 
