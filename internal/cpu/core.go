@@ -266,10 +266,14 @@ func (c *Core) memAccess(op mem.Op, addr uint64, at sim.Cycle, tok *token) {
 	c.submitRetry(r)
 }
 
-// waitMSHR blocks until a miss slot is free.
+// waitMSHR blocks until a miss slot is free. An engine with no event left
+// while every slot is taken has lost a completion: a model deadlock,
+// reported loudly rather than spun on.
 func (c *Core) waitMSHR() {
 	for c.outstanding >= c.cfg.MSHRs {
-		c.eng.Step()
+		if !c.eng.Step() {
+			panic("cpu: waiting for a miss slot with no pending events (memory model deadlock)")
+		}
 	}
 }
 
@@ -477,7 +481,9 @@ func (c *Core) Run(w Workload) Stats {
 	prevRetire = c.drainRetire(pending, prevRetire)
 	// Drain outstanding background traffic.
 	for c.outstanding > 0 {
-		c.eng.Step()
+		if !c.eng.Step() {
+			panic("cpu: draining outstanding requests with no pending events (memory model deadlock)")
+		}
 	}
 	if prevRetire > c.eng.Now() {
 		c.eng.RunUntil(prevRetire)

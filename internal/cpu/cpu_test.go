@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -444,5 +446,55 @@ func TestSubmitRetryOffersAcceptedRequestOnce(t *testing.T) {
 	}
 	if g.eng.Pending() != 0 {
 		t.Fatalf("%d events pending after the run, want 0", g.eng.Pending())
+	}
+}
+
+// lossySystem accepts every request and never completes one: a memory
+// system that lost its completions.
+type lossySystem struct{ eng *sim.Engine }
+
+func (l *lossySystem) Engine() *sim.Engine      { return l.eng }
+func (l *lossySystem) CyclesPerNano() float64   { return 1 }
+func (l *lossySystem) Drained() bool            { return true }
+func (l *lossySystem) Submit(*mem.Request) bool { return true }
+
+// TestDryEngineFailsLoudly: a core whose memory system never completes a
+// request must panic in each loop that waits on the engine, not spin on an
+// engine with no event left. One NT store more than the miss slots stalls
+// the issue in waitMSHR. A single cached store that misses leaves its RFO
+// read, which no instruction waits on, to Run's final drain (an NT store's
+// own completion is awaited earlier, at retirement). The core runs in a
+// goroutine, so a loop that spins fails the test at its deadline instead
+// of hanging it.
+func TestDryEngineFailsLoudly(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stores int
+		nt     bool
+		want   string
+	}{
+		{"waitMSHR", DefaultConfig().MSHRs + 1, true, "waiting for a miss slot"},
+		{"final-drain", 1, false, "draining outstanding requests"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &SliceWorkload{}
+			for i := 0; i < tc.stores; i++ {
+				w.Instrs = append(w.Instrs, Instr{IsMem: true, NT: tc.nt, Addr: uint64(i) * 64, Class: ClassWrite})
+			}
+			core := New(DefaultConfig(), &lossySystem{eng: sim.NewEngine()})
+			got := make(chan any, 1)
+			go func() {
+				defer func() { got <- recover() }()
+				core.Run(w)
+			}()
+			select {
+			case v := <-got:
+				if msg, _ := v.(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("Run ended with %v, want a panic naming %q", v, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still spinning after 10 s on an engine with no pending event")
+			}
+		})
 	}
 }
