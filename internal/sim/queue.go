@@ -1,7 +1,9 @@
 package sim
 
-// Queue is a bounded FIFO used to model hardware queues (WPQ, RPQ, LSQ, bank
-// command queues). A capacity of 0 means unbounded.
+// Queue is a bounded FIFO. Its users are the DRAM controller's request
+// queue and its FIFO of serviced requests awaiting completion; the iMC's
+// WPQ and the on-DIMM LSQ are nvdimm.LSQ, and the RPQ is a counter. A
+// capacity of 0 means unbounded.
 type Queue[T any] struct {
 	items []T
 	cap   int

@@ -208,8 +208,10 @@ func TestMigrationsAcrossDIMMs(t *testing.T) {
 // barrier every 4096 accesses, then a fence. The LSQ drain spends most of
 // such a run blocked by the internal-write cap or below its triggers; its
 // ticks stay parked until a completion, a crossing of high water, a flush or
-// the oldest entry's age wakes them. Re-arming every epoch, it fired 37.8
-// events per access.
+// the oldest entry's age wakes them. The iMC's retry of a WPQ line the full
+// LSQ refuses stays parked until the LSQ pops a group. Re-arming every
+// epoch, the stream fired 37.8 events per access; with the drain parked and
+// the retry re-arming every 53 cycles, 16.3; with both parked, 5.4.
 func TestStoreStreamEventsPerAccess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NV.WearThreshold = 50
@@ -220,8 +222,8 @@ func TestStoreStreamEventsPerAccess(t *testing.T) {
 	d.RunWindow(accs, 10)
 	d.Fence()
 	per := float64(s.Engine().Fired()) / float64(len(accs))
-	if per > 16.5 {
-		t.Fatalf("%.2f events per access, want at most 16.5", per)
+	if per > 6 {
+		t.Fatalf("%.2f events per access, want at most 6", per)
 	}
 	if m := s.Migrations(); m != 320 {
 		t.Fatalf("%d wear migrations, want 320", m)
