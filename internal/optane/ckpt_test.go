@@ -1,6 +1,9 @@
 package optane
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -32,7 +35,9 @@ func drive(s *System, from, to int) []uint64 {
 
 // TestSystemCheckpointRoundTrip: run half the stream, snapshot at idle,
 // restore into a fresh system, and require the remaining completions to be
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. The mid-stream snapshot itself is
+// pinned by its hash, so a change to the LRU trackers' recency order or
+// encoding cannot hide behind a round trip that merely agrees with itself.
 func TestSystemCheckpointRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DIMMs = 2
@@ -46,6 +51,13 @@ func TestSystemCheckpointRoundTrip(t *testing.T) {
 	var enc ckpt.Enc
 	if err := s1.SaveState(&enc); err != nil {
 		t.Fatalf("SaveState: %v", err)
+	}
+	if runtime.GOARCH == "amd64" {
+		sum := sha256.Sum256(enc.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != roundTripSnapshotSHA256 {
+			t.Errorf("mid-stream snapshot (%d bytes) sha256 = %s, want %s",
+				len(enc.Bytes()), got, roundTripSnapshotSHA256)
+		}
 	}
 
 	s2 := New(cfg)
@@ -67,6 +79,11 @@ func TestSystemCheckpointRoundTrip(t *testing.T) {
 			s2.eng.Now(), straight.eng.Now(), s2.Tails, straight.Tails)
 	}
 }
+
+// roundTripSnapshotSHA256 is the SHA-256 of the 2,069-byte snapshot that
+// TestSystemCheckpointRoundTrip takes after 2,000 accesses over two
+// interleaved DIMMs (recorded on linux/amd64, like the golden files).
+const roundTripSnapshotSHA256 = "119e196629bbd0c8c8247ec64604e95a6150a684752dc72e32cb1bf8ba0313a5"
 
 // TestSystemCheckpointGeometryMismatch: a snapshot from a different DIMM
 // count is a typed corrupt error, not a panic.
