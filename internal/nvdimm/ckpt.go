@@ -1,7 +1,9 @@
 package nvdimm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ckpt"
@@ -61,16 +63,15 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 // SaveState serializes the RMW buffer: resident lines sorted by block as
 // (block, dirty, lastUse), then tick, hits, misses.
 func (b *RMWBuffer) SaveState(enc *ckpt.Enc) {
-	lines := make([]rmwLine, len(b.slots))
-	copy(lines, b.slots)
-	sort.Slice(lines, func(i, j int) bool { return lines[i].block < lines[j].block })
+	lines := b.lines.Entries(nil)
+	slices.SortFunc(lines, func(x, y sim.LRUEntry[bool]) int { return cmp.Compare(x.Key, y.Key) })
 	enc.U32(uint32(len(lines)))
 	for _, l := range lines {
-		enc.U64(l.block)
-		enc.Bool(l.dirty)
-		enc.U64(l.lastUse)
+		enc.U64(l.Key)
+		enc.Bool(l.Val)
+		enc.U64(l.LastUse)
 	}
-	enc.U64(b.tick)
+	enc.U64(b.lines.Tick())
 	enc.U64(b.hits)
 	enc.U64(b.misses)
 }
@@ -79,43 +80,17 @@ func (b *RMWBuffer) SaveState(enc *ckpt.Enc) {
 // rebuilt in lastUse order, so the restored buffer evicts exactly the
 // victims the captured one would have.
 func (b *RMWBuffer) LoadState(dec *ckpt.Dec) error {
-	n := dec.Count(17)
+	lines := make([]sim.LRUEntry[bool], dec.Count(17))
+	for i := range lines {
+		lines[i] = sim.LRUEntry[bool]{Key: dec.U64(), Val: dec.Bool(), LastUse: dec.U64()}
+	}
+	tick := dec.U64()
+	b.hits = dec.U64()
+	b.misses = dec.U64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if n > b.entries {
-		return fmt.Errorf("%w: %d RMW lines, capacity %d", ckpt.ErrCorrupt, n, b.entries)
-	}
-	clear(b.index)
-	b.slots = b.slots[:0]
-	b.head, b.tail = -1, -1
-	for i := 0; i < n; i++ {
-		blk := dec.U64()
-		dirty := dec.Bool()
-		lastUse := dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if _, dup := b.index[blk]; dup {
-			return fmt.Errorf("%w: duplicate RMW line %#x", ckpt.ErrCorrupt, blk)
-		}
-		b.index[blk] = int32(i)
-		b.slots = append(b.slots, rmwLine{block: blk, dirty: dirty, lastUse: lastUse})
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return b.slots[order[i]].lastUse < b.slots[order[j]].lastUse
-	})
-	for _, i := range order {
-		b.pushMRU(i)
-	}
-	b.tick = dec.U64()
-	b.hits = dec.U64()
-	b.misses = dec.U64()
-	return dec.Err()
+	return b.lines.Restore(lines, tick)
 }
 
 // SaveState serializes the AIT data buffer densely: set count, ways, then
