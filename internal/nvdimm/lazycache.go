@@ -36,53 +36,31 @@ func DefaultLazyCacheConfig() LazyCacheConfig {
 	}
 }
 
-// lzLevel is one level of the Lazy cache: fully associative, LRU.
+// lzLevel is one level of the Lazy cache: fully associative, LRU, lines of
+// block bytes.
 type lzLevel struct {
-	lines   map[uint64]uint64 // block -> lastUse
-	entries int
-	block   uint64
-	tick    uint64
+	lines sim.LRU[struct{}]
+	block uint64
 }
 
-func newLZLevel(bytes, block uint64) *lzLevel {
-	n := int(bytes / block)
-	if n < 1 {
-		n = 1
-	}
-	return &lzLevel{lines: make(map[uint64]uint64, n), entries: n, block: block}
+func (l *lzLevel) init(bytes, block uint64) {
+	l.lines.Init(int(bytes / block))
+	l.block = block
 }
 
 func (l *lzLevel) align(addr uint64) uint64 { return addr - addr%l.block }
 
+// lookup probes for addr's line, touching it on a hit.
 func (l *lzLevel) lookup(addr uint64) bool {
-	b := l.align(addr)
-	if _, ok := l.lines[b]; ok {
-		l.tick++
-		l.lines[b] = l.tick
-		return true
-	}
-	return false
+	_, ok := l.lines.Get(l.align(addr))
+	return ok
 }
 
+// contains probes for addr's line without touching it.
+func (l *lzLevel) contains(addr uint64) bool { return l.lines.Contains(l.align(addr)) }
+
 func (l *lzLevel) insert(addr uint64) (victim uint64, evicted bool) {
-	b := l.align(addr)
-	l.tick++
-	if _, ok := l.lines[b]; ok {
-		l.lines[b] = l.tick
-		return 0, false
-	}
-	if len(l.lines) >= l.entries {
-		var va uint64
-		var vt uint64 = ^uint64(0)
-		for a, t := range l.lines {
-			if t < vt {
-				va, vt = a, t
-			}
-		}
-		delete(l.lines, va)
-		victim, evicted = va, true
-	}
-	l.lines[b] = l.tick
+	victim, _, evicted = l.lines.Put(l.align(addr), struct{}{})
 	return victim, evicted
 }
 
@@ -101,8 +79,8 @@ type LazyCacheStats struct {
 // migration reset, tracked per combine block here) drive promotion.
 type LazyCache struct {
 	cfg LazyCacheConfig
-	l1  *lzLevel
-	l2  *lzLevel
+	l1  lzLevel
+	l2  lzLevel
 	// wlb is the Write Lookaside Buffer: the set of cached combine blocks.
 	wlb map[uint64]bool
 	// hotness counts recent writes per combine block (reusing the AIT wear
@@ -128,14 +106,15 @@ func NewLazyCache(cfg LazyCacheConfig) *LazyCache {
 	if cfg.HitNs == 0 {
 		cfg.HitNs = def.HitNs
 	}
-	return &LazyCache{
+	lc := &LazyCache{
 		cfg:      cfg,
-		l1:       newLZLevel(cfg.LZ1Bytes, cfg.LZ1Block),
-		l2:       newLZLevel(cfg.LZ2Bytes, cfg.LZ2Block),
 		wlb:      make(map[uint64]bool),
 		hotness:  make(map[uint64]uint64),
 		writeLat: dram.NsToCycles(cfg.HitNs),
 	}
+	lc.l1.init(cfg.LZ1Bytes, cfg.LZ1Block)
+	lc.l2.init(cfg.LZ2Bytes, cfg.LZ2Block)
+	return lc
 }
 
 // EnableLazyCache attaches the Lazy cache to a DIMM.
@@ -151,8 +130,8 @@ func (d *DIMM) Lazy() *LazyCache { return d.lazy }
 func (lc *LazyCache) Stats() LazyCacheStats {
 	s := lc.stats
 	s.WLBEntries = len(lc.wlb)
-	s.L1Occupancy = len(lc.l1.lines)
-	s.L2Occupancy = len(lc.l2.lines)
+	s.L1Occupancy = lc.l1.lines.Len()
+	s.L2Occupancy = lc.l2.lines.Len()
 	return s
 }
 
@@ -186,14 +165,19 @@ func (lc *LazyCache) admit(block uint64) {
 		lc.l2.insert(v)
 	}
 	lc.l2.insert(block)
-	// Bound the WLB to the cache capacity: drop tracking for blocks that
-	// fell out of both levels.
-	if len(lc.wlb) > lc.l1.entries+lc.l2.entries {
+	// Bound the WLB to the cache capacity: stop tracking the lowest-addressed
+	// block that fell out of both levels. The choice depends on the tracked
+	// set alone, not on map order, and the probes do not touch, so the bound
+	// never reorders either level.
+	if len(lc.wlb) > lc.l1.lines.Cap()+lc.l2.lines.Cap() {
+		drop, found := uint64(0), false
 		for a := range lc.wlb {
-			if !lc.l1.lookup(a) && !lc.l2.lookup(a) {
-				delete(lc.wlb, a)
-				break
+			if (!found || a < drop) && !lc.l1.contains(a) && !lc.l2.contains(a) {
+				drop, found = a, true
 			}
+		}
+		if found {
+			delete(lc.wlb, drop)
 		}
 	}
 }
