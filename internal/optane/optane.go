@@ -108,107 +108,25 @@ func DefaultConfig() Config {
 	return Config{Params: DefaultParams(), DIMMs: 1, Seed: 1}
 }
 
-// lruSet is a behavioral capacity tracker: an LRU set of block addresses.
-// Recency is an intrusive doubly-linked list over a preallocated node slab,
-// so refreshes and evictions are O(1). The victim is always the list tail,
-// which matches the former timestamp-scan implementation exactly (ticks were
-// unique, so least-tick == least-recently-touched).
+// lruSet is a behavioral capacity tracker: an LRU set of the grain-aligned
+// blocks an address stream touched.
 type lruSet struct {
-	idx     map[uint64]int32
-	nodes   []lruNode
-	used    int32 // nodes handed out so far
-	head    int32 // most recently used, -1 when empty
-	tail    int32 // least recently used, -1 when empty
-	entries int
-	grain   uint64
+	lru   sim.LRU[struct{}]
+	grain uint64
 }
 
-type lruNode struct {
-	key        uint64
-	prev, next int32
-}
-
-func newLRUSet(capacity, grain uint64) *lruSet {
-	n := int(capacity / grain)
-	if n < 1 {
-		n = 1
-	}
-	return &lruSet{
-		idx:     make(map[uint64]int32, n),
-		nodes:   make([]lruNode, n),
-		head:    -1,
-		tail:    -1,
-		entries: n,
-		grain:   grain,
-	}
+func newLRUSet(capacity, grain uint64) lruSet {
+	s := lruSet{grain: grain}
+	s.lru.Init(int(capacity / grain))
+	return s
 }
 
 func (s *lruSet) key(addr uint64) uint64 { return addr - addr%s.grain }
 
-func (s *lruSet) size() int { return len(s.idx) }
+// touch inserts or refreshes the block containing addr.
+func (s *lruSet) touch(addr uint64) { s.lru.Put(s.key(addr), struct{}{}) }
 
-// reset drops all entries (fence drain) without releasing the node slab.
-func (s *lruSet) reset() {
-	clear(s.idx)
-	s.used = 0
-	s.head, s.tail = -1, -1
-}
-
-func (s *lruSet) unlink(i int32) {
-	n := &s.nodes[i]
-	if n.prev >= 0 {
-		s.nodes[n.prev].next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next >= 0 {
-		s.nodes[n.next].prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-}
-
-func (s *lruSet) pushFront(i int32) {
-	n := &s.nodes[i]
-	n.prev, n.next = -1, s.head
-	if s.head >= 0 {
-		s.nodes[s.head].prev = i
-	}
-	s.head = i
-	if s.tail < 0 {
-		s.tail = i
-	}
-}
-
-// touch inserts/refreshes the block containing addr; reports prior presence.
-func (s *lruSet) touch(addr uint64) bool {
-	k := s.key(addr)
-	if i, ok := s.idx[k]; ok {
-		if s.head != i {
-			s.unlink(i)
-			s.pushFront(i)
-		}
-		return true
-	}
-	var i int32
-	if len(s.idx) >= s.entries {
-		i = s.tail
-		delete(s.idx, s.nodes[i].key)
-		s.unlink(i)
-	} else {
-		i = s.used
-		s.used++
-	}
-	s.nodes[i].key = k
-	s.idx[k] = i
-	s.pushFront(i)
-	return false
-}
-
-func (s *lruSet) contains(addr uint64) bool {
-	_, ok := s.idx[s.key(addr)]
-	return ok
-}
+func (s *lruSet) contains(addr uint64) bool { return s.lru.Contains(s.key(addr)) }
 
 // System is the reference machine; it implements mem.System.
 type System struct {
@@ -218,10 +136,10 @@ type System struct {
 	rng *sim.RNG
 
 	// Behavioral structures per DIMM.
-	wpq []*lruSet
-	lsq []*lruSet
-	rmw []*lruSet
-	ait []*lruSet
+	wpq []lruSet
+	lsq []lruSet
+	rmw []lruSet
+	ait []lruSet
 
 	// pipeFree is the aggregated serving pipe: per-op occupancy divided by
 	// the interleave scaling models the combined DIMM bandwidth.
@@ -390,11 +308,11 @@ func (s *System) Submit(r *mem.Request) bool {
 		latNs += s.tailNs(r.Addr)
 	case mem.OpFence:
 		// mfence: fixed on-core cost plus draining pending structures.
-		entries := s.wpq[di].size() + s.lsq[di].size()
+		entries := s.wpq[di].lru.Len() + s.lsq[di].lru.Len()
 		latNs = s.p.FenceBaseNs + float64(entries)*s.p.FenceEntryNs
 		for i := range s.wpq {
-			s.wpq[i].reset()
-			s.lsq[i].reset()
+			s.wpq[i].lru.Reset()
+			s.lsq[i].lru.Reset()
 		}
 		occNs = 0
 	default:
