@@ -7,7 +7,7 @@ import (
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRUCache[*Result](2)
 	ra, rb, rc := &Result{Hash: "a"}, &Result{Hash: "b"}, &Result{Hash: "c"}
 	c.Put("a", ra)
 	c.Put("b", rb)
@@ -30,7 +30,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheOverwrite(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRUCache[*Result](2)
 	c.Put("a", &Result{Accesses: 1})
 	c.Put("a", &Result{Accesses: 2})
 	if c.Len() != 1 {
@@ -43,7 +43,7 @@ func TestCacheOverwrite(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(0)
+	c := newLRUCache[*Result](0)
 	c.Put("a", &Result{})
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache returned a hit")
@@ -53,11 +53,21 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheIgnoresEmptyKey: a job without a warmup has an empty WarmHash,
+// which must never become a cache entry.
+func TestCacheIgnoresEmptyKey(t *testing.T) {
+	c := newLRUCache[[]byte](warmCacheCap)
+	c.Put("", []byte{1})
+	if _, ok := c.Get(""); ok || c.Len() != 0 {
+		t.Fatalf("empty key cached: Len = %d", c.Len())
+	}
+}
+
 // TestCacheEvictionOrder walks a longer access pattern and checks the exact
 // eviction sequence: Get and Put both promote, so the victim is always the
 // entry untouched the longest.
 func TestCacheEvictionOrder(t *testing.T) {
-	c := newResultCache(3)
+	c := newLRUCache[*Result](3)
 	for _, k := range []string{"a", "b", "c"} {
 		c.Put(k, &Result{Hash: k})
 	}
@@ -95,7 +105,7 @@ func TestCacheConcurrent(t *testing.T) {
 		keys    = 32
 		rounds  = 400
 	)
-	c := newResultCache(8)
+	c := newLRUCache[*Result](8)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -124,7 +134,7 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCacheChurn(t *testing.T) {
-	c := newResultCache(8)
+	c := newLRUCache[*Result](8)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprint(i), &Result{Accesses: i})
 	}

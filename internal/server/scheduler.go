@@ -185,7 +185,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts    Options
 	metrics *Metrics
-	cache   *resultCache
+	cache   *lruCache[*Result]
 	// brk is the engine circuit breaker: BreakerThreshold consecutive
 	// engine failures (panics, faulted runs) open it, and submissions are
 	// shed at the door until BreakerCooldown passes. State is surfaced on
@@ -199,7 +199,7 @@ type Server struct {
 	busy      atomic.Int32
 
 	state *stateStore
-	warm  *warmCache
+	warm  *lruCache[[]byte]
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
@@ -271,10 +271,10 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		metrics:   newMetrics(),
-		cache:     newResultCache(opts.CacheEntries),
+		cache:     newLRUCache[*Result](opts.CacheEntries),
 		brk:       breaker.New(opts.BreakerThreshold, opts.BreakerCooldown),
 		state:     state,
-		warm:      newWarmCache(),
+		warm:      newLRUCache[[]byte](warmCacheCap),
 		queue:     make(chan *Job, opts.QueueDepth),
 		runCtx:    ctx,
 		runCancel: cancel,
@@ -459,7 +459,11 @@ func (s *Server) runJob(rn *Runner, j *Job) {
 		}
 		if j.plan.Warmup != nil {
 			warmHash := j.plan.WarmHash()
-			cio.WarmSink = func(snap []byte) { s.warm.Put(warmHash, snap) }
+			cio.WarmSink = func(snap []byte) {
+				if snap != nil {
+					s.warm.Put(warmHash, snap)
+				}
+			}
 		}
 	}
 
@@ -798,7 +802,7 @@ func (s *Server) persistResults() {
 	entries := s.cache.Entries()
 	out := make([]persistedResult, 0, len(entries))
 	for _, e := range entries {
-		out = append(out, persistedResult{Hash: e.key, Result: e.res.Canonical()})
+		out = append(out, persistedResult{Hash: e.key, Result: e.val.Canonical()})
 	}
 	s.state.SaveResults(out)
 }

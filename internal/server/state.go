@@ -1,13 +1,11 @@
 package server
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/ckpt"
 )
@@ -169,70 +167,13 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// warmCacheCap bounds the warm-snapshot cache. Warm snapshots are full system
-// images (hundreds of KB for realistic plans), and a sweep reuses one per
-// shared prefix, so a handful covers concurrent sweeps.
+// warmCacheCap bounds the warm-snapshot cache, an lruCache keyed by
+// WarmHash. Warm snapshots are full system images (hundreds of KB for
+// realistic plans), and a sweep reuses one per shared prefix, so a handful
+// covers concurrent sweeps. The cache is memory-only: a warm snapshot is a
+// pure optimization (the warmup prefix can always be re-simulated) and is
+// cheap to rebuild on restart.
 const warmCacheCap = 8
-
-// warmCache is a small LRU of warm-start snapshots keyed by WarmHash. It is
-// memory-only: a warm snapshot is a pure optimization (the warmup prefix can
-// always be re-simulated) and is cheap to rebuild on restart.
-type warmCache struct {
-	mu sync.Mutex
-	ll *list.List
-	m  map[string]*list.Element
-}
-
-type warmEntry struct {
-	key  string
-	snap []byte
-}
-
-func newWarmCache() *warmCache {
-	return &warmCache{ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// Get returns the warm snapshot for key, promoting it.
-func (c *warmCache) Get(key string) ([]byte, bool) {
-	if key == "" {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*warmEntry).snap, true
-}
-
-// Put inserts or refreshes key, evicting the least recently used entry.
-func (c *warmCache) Put(key string, snap []byte) {
-	if key == "" || snap == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*warmEntry).snap = snap
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&warmEntry{key: key, snap: snap})
-	for c.ll.Len() > warmCacheCap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*warmEntry).key)
-	}
-}
-
-// Len returns the resident entry count.
-func (c *warmCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
 
 // validSnapshotName reports whether hash is safe to use as a snapshot file
 // name component (defense for the peer/HTTP checkpoint endpoints).
