@@ -123,9 +123,3 @@ func (b *Breaker) Snapshot() (string, int, uint64) {
 	// probe is actually admitted; reporting stays simple and truthful.
 	return b.state, b.consecutive, b.opens
 }
-
-// State returns just the current state string.
-func (b *Breaker) State() string {
-	s, _, _ := b.Snapshot()
-	return s
-}

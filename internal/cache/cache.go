@@ -93,9 +93,6 @@ func (c *Cache) init(cfg Config) {
 	*c = Cache{cfg: cfg, slot: make([]uint32, n), shift: shift, nsets: n}
 }
 
-// Cfg returns the configuration.
-func (c *Cache) Cfg() Config { return c.cfg }
-
 // Stats returns a snapshot of counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

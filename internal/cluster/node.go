@@ -452,9 +452,6 @@ func (n *Node) recoverCkpt(ctx context.Context, p *server.Plan) {
 	}
 }
 
-// Local returns the node's local scheduler.
-func (n *Node) Local() *server.Server { return n.local }
-
 // Owner returns the ring owner of a canonical job hash (exported for tests
 // and tooling that want to steer jobs at specific members).
 func (n *Node) Owner(hash string) string { return n.ring.Owner(hash) }

@@ -169,9 +169,6 @@ func (c *Controller) Stats() Stats { return c.stats }
 // The slice is owned by the controller; callers must not mutate it.
 func (c *Controller) Commands() []Cmd { return c.cmds }
 
-// ResetCommands discards the recorded command trace.
-func (c *Controller) ResetCommands() { c.cmds = nil }
-
 // Submit implements mem.System: enqueue a request, false on backpressure.
 // Requests must fit within one burst (split larger requests with
 // mem.LineSpan before submitting).

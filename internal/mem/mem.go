@@ -130,9 +130,6 @@ type System interface {
 	Drained() bool
 }
 
-// NsPerCycle returns the nanosecond duration of one cycle of sys.
-func NsPerCycle(sys System) float64 { return 1 / sys.CyclesPerNano() }
-
 // ToNs converts a cycle count of sys to nanoseconds.
 func ToNs(sys System, c sim.Cycle) float64 { return float64(c) / sys.CyclesPerNano() }
 

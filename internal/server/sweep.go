@@ -228,28 +228,3 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 }
-
-// SweepAggregate summarizes a finished sweep's results for programmatic
-// callers (used by tests and example clients): per-point average latency and
-// bandwidth keyed by value.
-type SweepAggregate struct {
-	Parameter string    `json:"parameter"`
-	Values    []string  `json:"values"`
-	AvgNs     []float64 `json:"avg_ns"`
-	GBs       []float64 `json:"gbs"`
-}
-
-// Aggregate folds sweep point results into aligned series.
-func Aggregate(parameter string, values []string, results []*Result) SweepAggregate {
-	agg := SweepAggregate{Parameter: parameter, Values: values}
-	for _, r := range results {
-		if r == nil {
-			agg.AvgNs = append(agg.AvgNs, 0)
-			agg.GBs = append(agg.GBs, 0)
-			continue
-		}
-		agg.AvgNs = append(agg.AvgNs, r.AvgLatencyNs)
-		agg.GBs = append(agg.GBs, r.BandwidthGBs)
-	}
-	return agg
-}

@@ -77,6 +77,3 @@ func (q *Queue[T]) Scan(fn func(i int, item T) bool) {
 		}
 	}
 }
-
-// Clear drops all items.
-func (q *Queue[T]) Clear() { q.items = q.items[:0] }

@@ -29,12 +29,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// State returns the raw generator state for checkpointing.
-func (r *RNG) State() (s0, s1 uint64) { return r.s0, r.s1 }
-
-// SetState restores raw generator state captured by State.
-func (r *RNG) SetState(s0, s1 uint64) { r.s0, r.s1 = s0, s1 }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	x, y := r.s0, r.s1

@@ -117,10 +117,6 @@ func (a *Accumulator) Percentile(p float64) float64 {
 	return a.samples[lo]*(1-frac) + a.samples[hi]*frac
 }
 
-// Samples returns the raw samples (sorted if a percentile was queried).
-// The caller must not mutate the returned slice.
-func (a *Accumulator) Samples() []float64 { return a.samples }
-
 // Reset discards all samples.
 func (a *Accumulator) Reset() {
 	a.samples = a.samples[:0]
