@@ -24,9 +24,9 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -48,19 +48,13 @@ type chaosRun struct {
 // asserts against (members + 1: every node once, plus the hedge).
 const chaosAttemptBudget = 4
 
-// chaosNode is one in-process fleet member: local scheduler, cluster layer,
-// and a real loopback HTTP listener.
-type chaosNode struct {
-	id   string
-	url  string
-	dir  string
-	srv  *server.Server
-	node *cluster.Node
-	hs   *http.Server
-}
-
 func (c *chaosRun) run() error {
 	baseline := runtime.NumGoroutine()
+	dir, err := os.MkdirTemp("", "nvmchaos-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 
 	// Distinct seed bases keep the soak's job hashes disjoint from every
 	// other mode; two batches so chaos keeps running after the quarantine.
@@ -78,7 +72,7 @@ func (c *chaosRun) run() error {
 
 	// Phase 1: solo reference, no chaos — the canonical truth every chaos
 	// sweep must reproduce byte for byte.
-	ref1, ref2, refCkpt, err := c.reference(sweep1, sweep2, ckptSpec)
+	ref1, ref2, refCkpt, err := c.reference(filepath.Join(dir, "ref"), sweep1, sweep2, ckptSpec)
 	if err != nil {
 		return fmt.Errorf("reference phase: %w", err)
 	}
@@ -95,11 +89,11 @@ func (c *chaosRun) run() error {
 	if err != nil {
 		return err
 	}
-	fleet, err := c.startFleet(fabric)
+	fleet, err := c.startFleet(3, filepath.Join(dir, "fleet"), fabric)
 	if err != nil {
 		return fmt.Errorf("starting chaos fleet: %w", err)
 	}
-	defer stopFleet(fleet)
+	defer fleet.Stop()
 
 	if err := c.phaseSweeps(fleet, sweep1, ref1, sweep2, ref2); err != nil {
 		return fmt.Errorf("chaos sweep phase: %w", err)
@@ -120,7 +114,7 @@ func (c *chaosRun) run() error {
 	log.Printf("phase 4 replay: %d injected faults recomputed identically from seed %d (%s)",
 		checked, c.seed, fabric.Snapshot())
 
-	stopFleet(fleet)
+	fleet.Stop()
 	if err := checkGoroutines(baseline); err != nil {
 		return err
 	}
@@ -128,19 +122,17 @@ func (c *chaosRun) run() error {
 	return nil
 }
 
-// reference computes the solo truths on a single chaos-free node.
-func (c *chaosRun) reference(sweep1, sweep2 map[string]any, ckptSpec server.JobSpec) (ref1, ref2 map[int]string, refCkpt string, err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// reference computes the solo truths on a one-member fleet without chaos,
+// keeping its state under dir.
+func (c *chaosRun) reference(dir string, sweep1, sweep2 map[string]any, ckptSpec server.JobSpec) (ref1, ref2 map[int]string, refCkpt string, err error) {
+	solo, err := c.startFleet(1, dir, nil)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	ref, err := c.startNode("ref", ln, []cluster.Peer{{ID: "ref"}}, nil)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	defer stopFleet([]*chaosNode{ref})
+	defer solo.Stop()
+	ref := solo[0]
 	for i, sw := range []map[string]any{sweep1, sweep2} {
-		res, rerr := runSweep(ref.url+"/v1/cluster/sweep", sw)
+		res, rerr := runSweep(ref.URL+"/v1/cluster/sweep", sw)
 		if rerr != nil {
 			return nil, nil, "", fmt.Errorf("solo sweep %d: %w", i+1, rerr)
 		}
@@ -153,113 +145,54 @@ func (c *chaosRun) reference(sweep1, sweep2 map[string]any, ckptSpec server.JobS
 			ref2 = res.canon
 		}
 	}
-	if refCkpt, _, err = dispatchJob(ref.url, ckptSpec); err != nil {
+	if refCkpt, _, err = dispatchJob(ref.URL, ckptSpec); err != nil {
 		return nil, nil, "", fmt.Errorf("solo checkpoint job: %w", err)
 	}
 	return ref1, ref2, refCkpt, nil
 }
 
-// startFleet boots the in-process n1/n2/n3 membership on loopback listeners,
-// every node wired through the chaos fabric on both sides of the wire.
-func (c *chaosRun) startFleet(fabric *chaos.Network) ([]*chaosNode, error) {
-	lns := make([]net.Listener, 3)
-	members := make([]cluster.Peer, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
+// startFleet boots an n-member fleet whose members keep durable state under
+// dir. With a fabric, each member's peer traffic crosses it on both sides of
+// the wire: the chaos transport on its requests, the middleware on its
+// handler.
+func (c *chaosRun) startFleet(n int, dir string, fabric *chaos.Network) (cluster.Fleet, error) {
+	return cluster.StartLoopback(n, func(_ int, id, addr string) cluster.MemberSetup {
+		ms := cluster.MemberSetup{
+			Options: server.Options{
+				Workers:      c.workers,
+				QueueDepth:   64,
+				CacheEntries: 256,
+				JobTimeout:   30 * time.Second,
+				StateDir:     filepath.Join(dir, id),
+			},
+			Config: cluster.Config{
+				HedgeAfter:      150 * time.Millisecond,
+				FillWait:        100 * time.Millisecond,
+				RequestTimeout:  10 * time.Second,
+				DispatchTimeout: 30 * time.Second,
+				AttemptBudget:   chaosAttemptBudget,
+				// Short cooldown so a healed partition becomes routable quickly.
+				BreakerCooldown: 200 * time.Millisecond,
+			},
 		}
-		lns[i] = ln
-		id := fmt.Sprintf("n%d", i+1)
-		members[i] = cluster.Peer{ID: id, URL: "http://" + ln.Addr().String()}
-	}
-	fleet := make([]*chaosNode, 3)
-	for i := range fleet {
-		n, err := c.startNode(members[i].ID, lns[i], members, fabric)
-		if err != nil {
-			return nil, err
+		if fabric != nil {
+			ms.Config.Transport = fabric.Transport(id, nil)
+			ms.Wrap = func(h http.Handler) http.Handler { return fabric.Middleware(id, h) }
+			fabric.RegisterNode(id, addr)
 		}
-		fleet[i] = n
-	}
-	return fleet, nil
-}
-
-// startNode builds one in-process member: scheduler with a durable state dir,
-// cluster layer with the chaos transport, HTTP surface behind the chaos
-// middleware, served on a real loopback listener.
-func (c *chaosRun) startNode(id string, ln net.Listener, members []cluster.Peer, fabric *chaos.Network) (*chaosNode, error) {
-	dir, err := os.MkdirTemp("", "nvmchaos-"+id+"-*")
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(server.Options{
-		Workers:      c.workers,
-		QueueDepth:   64,
-		CacheEntries: 256,
-		JobTimeout:   30 * time.Second,
-		StateDir:     dir,
+		return ms
 	})
-	cfg := cluster.Config{
-		SelfID:          id,
-		Peers:           members,
-		HedgeAfter:      150 * time.Millisecond,
-		FillWait:        100 * time.Millisecond,
-		RequestTimeout:  10 * time.Second,
-		DispatchTimeout: 30 * time.Second,
-		AttemptBudget:   chaosAttemptBudget,
-		// Short cooldown so a healed partition becomes routable quickly.
-		BreakerCooldown: 200 * time.Millisecond,
-	}
-	if fabric != nil {
-		cfg.Transport = fabric.Transport(id, nil)
-	}
-	node, err := cluster.NewNode(srv, cfg)
-	if err != nil {
-		srv.Shutdown(time.Second)
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	var h http.Handler = node.Handler()
-	if fabric != nil {
-		h = fabric.Middleware(id, h)
-		fabric.RegisterNode(id, ln.Addr().String())
-	}
-	hs := &http.Server{Handler: h}
-	go hs.Serve(ln) //nolint:errcheck // Serve returns on Close
-	return &chaosNode{
-		id:   id,
-		url:  "http://" + ln.Addr().String(),
-		dir:  dir,
-		srv:  srv,
-		node: node,
-		hs:   hs,
-	}, nil
-}
-
-// stopFleet tears down nodes idempotently (safe to call twice: once inline,
-// once deferred).
-func stopFleet(fleet []*chaosNode) {
-	for _, n := range fleet {
-		if n == nil || n.hs == nil {
-			continue
-		}
-		n.hs.Close()
-		n.node.Close()
-		n.srv.Shutdown(5 * time.Second)
-		os.RemoveAll(n.dir)
-		n.hs = nil
-	}
 }
 
 // phaseSweeps runs two sweep batches through coordinator n1 under sustained
 // chaos: byte-identity against the solo reference, bounded attempts, and the
 // corrupting peer quarantined with the fleet still serving afterwards.
-func (c *chaosRun) phaseSweeps(fleet []*chaosNode, sweep1 map[string]any, ref1 map[int]string, sweep2 map[string]any, ref2 map[int]string) error {
+func (c *chaosRun) phaseSweeps(fleet cluster.Fleet, sweep1 map[string]any, ref1 map[int]string, sweep2 map[string]any, ref2 map[int]string) error {
 	for i, batch := range []struct {
 		sweep map[string]any
 		ref   map[int]string
 	}{{sweep1, ref1}, {sweep2, ref2}} {
-		res, err := runSweep(fleet[0].url+"/v1/cluster/sweep", batch.sweep)
+		res, err := runSweep(fleet[0].URL+"/v1/cluster/sweep", batch.sweep)
 		if err != nil {
 			return fmt.Errorf("batch %d: %w", i+1, err)
 		}
@@ -276,13 +209,13 @@ func (c *chaosRun) phaseSweeps(fleet []*chaosNode, sweep1 map[string]any, ref1 m
 		log.Printf("phase 2 chaos sweep %d: %d points byte-identical (hedged=%d rerouted=%d, max attempts %d/%d)",
 			i+1, res.completed, res.hedged, res.rerouted, res.maxAttempts, chaosAttemptBudget)
 	}
-	if !fleet[0].node.Quarantined("n3") && !fleet[1].node.Quarantined("n3") {
-		i0, i1 := fleet[0].node.Info(), fleet[1].node.Info()
+	if !fleet[0].Node.Quarantined("n3") && !fleet[1].Node.Quarantined("n3") {
+		i0, i1 := fleet[0].Node.Info(), fleet[1].Node.Info()
 		return fmt.Errorf("n3 corrupts 85%% of its responses but was never quarantined (corrupt seen: n1=%d n2=%d)",
 			i0.CorruptResponses, i1.CorruptResponses)
 	}
 	log.Printf("phase 2 quarantine: corrupting peer n3 exiled (n1 sees quarantined=%v, n2 sees quarantined=%v)",
-		fleet[0].node.Quarantined("n3"), fleet[1].node.Quarantined("n3"))
+		fleet[0].Node.Quarantined("n3"), fleet[1].Node.Quarantined("n3"))
 	return nil
 }
 
@@ -291,7 +224,7 @@ func (c *chaosRun) phaseSweeps(fleet []*chaosNode, sweep1 map[string]any, ref1 m
 // then heals and requires anti-entropy to restore the replica — after which
 // the job must resume from a barrier and finish byte-identical to the solo
 // uninterrupted reference.
-func (c *chaosRun) phasePartition(fleet []*chaosNode, fabric *chaos.Network, ckptSpec server.JobSpec, ckptHash, refCkpt string) error {
+func (c *chaosRun) phasePartition(fleet cluster.Fleet, fabric *chaos.Network, ckptSpec server.JobSpec, ckptHash, refCkpt string) error {
 	fabric.Partition("n2", "n1", false)
 	fabric.Partition("n2", "n3", false)
 
@@ -300,11 +233,11 @@ func (c *chaosRun) phasePartition(fleet []*chaosNode, fabric *chaos.Network, ckp
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := fleet[1].node.Dispatch(ctx, ckptSpec)
+		_, _, err := fleet[1].Node.Dispatch(ctx, ckptSpec)
 		done <- err
 	}()
 	deadline := time.Now().Add(15 * time.Second)
-	for !fleet[1].srv.HasCheckpoint(ckptHash) {
+	for !fleet[1].Server.HasCheckpoint(ckptHash) {
 		if time.Now().After(deadline) {
 			cancel()
 			<-done
@@ -318,12 +251,12 @@ func (c *chaosRun) phasePartition(fleet []*chaosNode, fabric *chaos.Network, ckp
 		// there is nothing left to converge — the soak parameters are wrong.
 		return fmt.Errorf("checkpoint job finished before it could be preempted; raise its steps")
 	}
-	if fleet[0].srv.HasCheckpoint(ckptHash) || fleet[2].srv.HasCheckpoint(ckptHash) {
+	if fleet[0].Server.HasCheckpoint(ckptHash) || fleet[2].Server.HasCheckpoint(ckptHash) {
 		return fmt.Errorf("a replica of %.12s escaped a full partition", ckptHash)
 	}
 
 	// Under the partition, anti-entropy must NOT converge.
-	if repaired := fleet[1].node.AntiEntropy(context.Background()); repaired != 0 {
+	if repaired := fleet[1].Node.AntiEntropy(context.Background()); repaired != 0 {
 		return fmt.Errorf("anti-entropy repaired %d snapshots across a full partition", repaired)
 	}
 
@@ -332,17 +265,17 @@ func (c *chaosRun) phasePartition(fleet []*chaosNode, fabric *chaos.Network, ckp
 	fabric.HealAll()
 	deadline = time.Now().Add(10 * time.Second)
 	repaired := 0
-	for !fleet[0].srv.HasCheckpoint(ckptHash) && !fleet[2].srv.HasCheckpoint(ckptHash) {
+	for !fleet[0].Server.HasCheckpoint(ckptHash) && !fleet[2].Server.HasCheckpoint(ckptHash) {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("replica of %.12s never re-converged after heal (repaired=%d)", ckptHash, repaired)
 		}
 		time.Sleep(100 * time.Millisecond) // breaker cooldown between passes
-		repaired += fleet[1].node.AntiEntropy(context.Background())
+		repaired += fleet[1].Node.AntiEntropy(context.Background())
 	}
 
 	// Resubmit through coordinator n1: the job must resume from a barrier
 	// (not restart) and reproduce the uninterrupted solo result exactly.
-	canon, ranOn, err := dispatchJob(fleet[0].url, ckptSpec)
+	canon, ranOn, err := dispatchJob(fleet[0].URL, ckptSpec)
 	if err != nil {
 		return fmt.Errorf("resubmitting checkpoint job after heal: %w", err)
 	}
@@ -351,7 +284,7 @@ func (c *chaosRun) phasePartition(fleet []*chaosNode, fabric *chaos.Network, ckp
 	}
 	var resumed uint64
 	for _, n := range fleet {
-		resumed += n.srv.MetricsSnapshot().JobsResumed
+		resumed += n.Server.MetricsSnapshot().JobsResumed
 	}
 	if resumed == 0 {
 		return fmt.Errorf("job re-simulated from scratch instead of resuming from the repaired replica")

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -30,57 +29,24 @@ type dashRun struct {
 	out     string
 }
 
-type dashNode struct {
-	id   string
-	url  string
-	srv  *server.Server
-	node *cluster.Node
-	hs   *http.Server
-}
-
 func (d *dashRun) run() error {
 	const nNodes = 2
-	lns := make([]net.Listener, nNodes)
-	members := make([]cluster.Peer, nNodes)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		lns[i] = ln
-		members[i] = cluster.Peer{ID: fmt.Sprintf("n%d", i+1), URL: "http://" + ln.Addr().String()}
-	}
-	fleet := make([]*dashNode, nNodes)
-	defer func() {
-		for _, n := range fleet {
-			if n == nil {
-				continue
-			}
-			n.hs.Close()
-			n.node.Close()
-			n.srv.Shutdown(5 * time.Second)
-		}
-	}()
-	for i := range fleet {
-		srv := server.New(server.Options{
+	fleet, err := cluster.StartLoopback(nNodes, func(int, string, string) cluster.MemberSetup {
+		return cluster.MemberSetup{Options: server.Options{
 			Workers: d.workers, QueueDepth: 64, CacheEntries: 64,
 			JobTimeout: 30 * time.Second,
-		})
-		node, err := cluster.NewNode(srv, cluster.Config{SelfID: members[i].ID, Peers: members})
-		if err != nil {
-			srv.Shutdown(time.Second)
-			return err
-		}
-		hs := &http.Server{Handler: node.Handler()}
-		go hs.Serve(lns[i]) //nolint:errcheck // Serve returns on Close
-		fleet[i] = &dashNode{id: members[i].ID, url: members[i].URL, srv: srv, node: node, hs: hs}
+		}}
+	})
+	if err != nil {
+		return err
 	}
+	defer fleet.Stop()
 
 	spec := server.JobSpec{
 		Workload: server.WorkloadSpec{Kind: server.KindChase, Region: d.region, MaxSteps: d.steps},
 		Seed:     1,
 	}
-	_, winner, err := dispatchJob(fleet[0].url, spec)
+	_, winner, err := dispatchJob(fleet[0].URL, spec)
 	if err != nil {
 		return fmt.Errorf("dispatch: %w", err)
 	}
@@ -89,12 +55,12 @@ func (d *dashRun) run() error {
 	var refVerdicts map[string]uint64
 	var refPayload []byte
 	for i, n := range fleet {
-		payload, data, err := fetchDash(n.url)
+		payload, data, err := fetchDash(n.URL)
 		if err != nil {
-			return fmt.Errorf("%s: %w", n.id, err)
+			return fmt.Errorf("%s: %w", n.ID, err)
 		}
-		if err := validateDash(data, n.id, nNodes); err != nil {
-			return fmt.Errorf("%s: %w", n.id, err)
+		if err := validateDash(data, n.ID, nNodes); err != nil {
+			return fmt.Errorf("%s: %w", n.ID, err)
 		}
 		if i == 0 {
 			refVerdicts, refPayload = data.Verdicts, payload
@@ -106,7 +72,7 @@ func (d *dashRun) run() error {
 	}
 
 	// Stability: a refetch with no intervening jobs must tally identically.
-	_, again, err := fetchDash(fleet[0].url)
+	_, again, err := fetchDash(fleet[0].URL)
 	if err != nil {
 		return fmt.Errorf("refetch: %w", err)
 	}

@@ -5,84 +5,36 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/server"
 )
 
-// swapHandler lets an httptest server come up before the node it will serve
-// exists — peer URLs must be known to build a Node, but a Node must exist to
-// provide the handler. The test wires the handler in after construction.
-type swapHandler struct {
-	mu sync.RWMutex
-	h  http.Handler
-}
-
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	h := s.h
-	s.mu.RUnlock()
-	if h == nil {
-		http.Error(w, "not wired yet", http.StatusServiceUnavailable)
-		return
-	}
-	h.ServeHTTP(w, r)
-}
-
-type testNode struct {
-	id   string
-	srv  *server.Server
-	node *Node
-	ts   *httptest.Server
-}
-
-// startCluster builds n in-process members talking real HTTP to each other.
-// optsFor/cfgFor customize one member (either may be nil for defaults).
-func startCluster(t *testing.T, n int, optsFor func(i int) server.Options, cfgFor func(i int) Config) []*testNode {
+// startCluster boots an n-member loopback fleet, stopped at test cleanup.
+// optsFor, cfgFor and wrapFor customize member i; any may be nil.
+func startCluster(t *testing.T, n int, optsFor func(i int) server.Options, cfgFor func(i int) Config,
+	wrapFor func(i int, h http.Handler) http.Handler) Fleet {
 	t.Helper()
-	handlers := make([]*swapHandler, n)
-	nodes := make([]*testNode, n)
-	peers := make([]Peer, n)
-	for i := range nodes {
-		handlers[i] = &swapHandler{}
-		ts := httptest.NewServer(handlers[i])
-		id := fmt.Sprintf("n%d", i+1)
-		nodes[i] = &testNode{id: id, ts: ts}
-		peers[i] = Peer{ID: id, URL: ts.URL}
-	}
-	for i := range nodes {
-		opts := server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64}
+	fleet, err := StartLoopback(n, func(i int, _, _ string) MemberSetup {
+		ms := MemberSetup{Options: server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64}}
 		if optsFor != nil {
-			opts = optsFor(i)
+			ms.Options = optsFor(i)
 		}
-		cfg := Config{}
 		if cfgFor != nil {
-			cfg = cfgFor(i)
+			ms.Config = cfgFor(i)
 		}
-		cfg.SelfID = nodes[i].id
-		cfg.Peers = peers
-		srv := server.New(opts)
-		node, err := NewNode(srv, cfg)
-		if err != nil {
-			t.Fatalf("NewNode(%s): %v", nodes[i].id, err)
+		if wrapFor != nil {
+			ms.Wrap = func(h http.Handler) http.Handler { return wrapFor(i, h) }
 		}
-		nodes[i].srv, nodes[i].node = srv, node
-		handlers[i].mu.Lock()
-		handlers[i].h = node.Handler()
-		handlers[i].mu.Unlock()
-	}
-	t.Cleanup(func() {
-		for _, tn := range nodes {
-			tn.ts.Close()
-			tn.srv.Shutdown(10 * time.Second)
-		}
+		return ms
 	})
-	return nodes
+	if err != nil {
+		t.Fatalf("StartLoopback: %v", err)
+	}
+	t.Cleanup(fleet.Stop)
+	return fleet
 }
 
 func clusterChaseSpec(seed uint64) server.JobSpec {
@@ -114,30 +66,30 @@ func specOwnedBy(t *testing.T, n *Node, id string) server.JobSpec {
 // caches the result, and a re-dispatch from a different coordinator returns
 // byte-identical bytes.
 func TestDispatchShardsByHash(t *testing.T) {
-	nodes := startCluster(t, 3, nil, nil)
+	nodes := startCluster(t, 3, nil, nil, nil)
 	spec := clusterChaseSpec(7)
 
-	res, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+	res, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
-	if route.Owner != nodes[0].node.Owner(route.Hash) {
-		t.Errorf("route owner %s != ring owner %s", route.Owner, nodes[0].node.Owner(route.Hash))
+	if route.Owner != nodes[0].Node.Owner(route.Hash) {
+		t.Errorf("route owner %s != ring owner %s", route.Owner, nodes[0].Node.Owner(route.Hash))
 	}
 	if route.Node != route.Owner {
 		t.Errorf("healthy dispatch answered by %s, want owner %s", route.Node, route.Owner)
 	}
 	var ownerSrv *server.Server
 	for _, tn := range nodes {
-		if tn.id == route.Owner {
-			ownerSrv = tn.srv
+		if tn.ID == route.Owner {
+			ownerSrv = tn.Server
 		}
 	}
 	if _, ok := ownerSrv.ResultByHash(route.Hash); !ok {
 		t.Errorf("owner %s did not cache the result", route.Owner)
 	}
 
-	res2, route2, err := nodes[1].node.Dispatch(context.Background(), spec)
+	res2, route2, err := nodes[1].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("re-dispatch: %v", err)
 	}
@@ -152,22 +104,22 @@ func TestDispatchShardsByHash(t *testing.T) {
 // TestPeerFillOnLocalSubmit: a job computed by its owner becomes a cache hit
 // on every other member via peer fill — no re-simulation, PeerFilled set.
 func TestPeerFillOnLocalSubmit(t *testing.T) {
-	nodes := startCluster(t, 3, nil, nil)
-	spec := specOwnedBy(t, nodes[0].node, "n3")
+	nodes := startCluster(t, 3, nil, nil, nil)
+	spec := specOwnedBy(t, nodes[0].Node, "n3")
 
 	// Owner computes and caches it.
-	if _, _, err := nodes[2].node.Dispatch(context.Background(), spec); err != nil {
+	if _, _, err := nodes[2].Node.Dispatch(context.Background(), spec); err != nil {
 		t.Fatalf("owner dispatch: %v", err)
 	}
 
 	// A plain local submission on n1 must be satisfied by asking the owner.
-	st, err := nodes[0].srv.Submit(spec)
+	st, err := nodes[0].Server.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fin, err := nodes[0].srv.Wait(ctx, st.ID)
+	fin, err := nodes[0].Server.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -177,15 +129,15 @@ func TestPeerFillOnLocalSubmit(t *testing.T) {
 	if !fin.PeerFilled {
 		t.Error("job not marked peer_filled; n1 re-simulated an owned result")
 	}
-	if hits := nodes[0].node.Info().PeerFillHits; hits == 0 {
+	if hits := nodes[0].Node.Info().PeerFillHits; hits == 0 {
 		t.Errorf("peer_fill_hits = %d, want > 0", hits)
 	}
-	res1, _, _ := nodes[0].srv.Result(st.ID)
-	res3, _ := nodes[2].srv.ResultByHash(fin.Hash)
+	res1, _, _ := nodes[0].Server.Result(st.ID)
+	res3, _ := nodes[2].Server.ResultByHash(fin.Hash)
 	if !bytes.Equal(res1.Canonical(), res3.Canonical()) {
 		t.Error("peer-filled result differs from the owner's bytes")
 	}
-	if m := nodes[0].srv.MetricsSnapshot(); m.JobsPeerFilled == 0 {
+	if m := nodes[0].Server.MetricsSnapshot(); m.JobsPeerFilled == 0 {
 		t.Errorf("jobs_peer_filled = %d, want > 0", m.JobsPeerFilled)
 	}
 }
@@ -204,11 +156,12 @@ func TestHedgeOnStraggler(t *testing.T) {
 			return opts
 		},
 		func(i int) Config { return Config{HedgeAfter: 30 * time.Millisecond} },
+		nil,
 	)
-	spec := specOwnedBy(t, nodes[0].node, "n3")
+	spec := specOwnedBy(t, nodes[0].Node, "n3")
 
 	start := time.Now()
-	res, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+	res, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
@@ -224,7 +177,7 @@ func TestHedgeOnStraggler(t *testing.T) {
 	if res.Hash != route.Hash {
 		t.Errorf("result hash %s != job hash %s", res.Hash, route.Hash)
 	}
-	info := nodes[0].node.Info()
+	info := nodes[0].Node.Info()
 	if info.HedgesFired == 0 || info.HedgesWon == 0 {
 		t.Errorf("hedge counters fired=%d won=%d, want both > 0", info.HedgesFired, info.HedgesWon)
 	}
@@ -233,7 +186,7 @@ func TestHedgeOnStraggler(t *testing.T) {
 	// reaped, not left simulating.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if nodes[2].srv.MetricsSnapshot().JobsCanceled > 0 {
+		if nodes[2].Server.MetricsSnapshot().JobsCanceled > 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -249,11 +202,12 @@ func TestRerouteAroundDeadPeer(t *testing.T) {
 		func(i int) Config {
 			return Config{BreakerThreshold: 1, BreakerCooldown: time.Minute}
 		},
+		nil,
 	)
-	spec := specOwnedBy(t, nodes[0].node, "n3")
-	nodes[2].ts.Close() // the whole process is gone, mid-"sweep"
+	spec := specOwnedBy(t, nodes[0].Node, "n3")
+	nodes[2].CloseHTTP() // the whole process is gone, mid-"sweep"
 
-	res, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+	res, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Dispatch with dead owner: %v", err)
 	}
@@ -266,13 +220,13 @@ func TestRerouteAroundDeadPeer(t *testing.T) {
 	if res == nil || res.Hash != route.Hash {
 		t.Fatalf("bad result after reroute: %+v", res)
 	}
-	if u := nodes[0].node.Info().PeersUnhealthy; u != 1 {
+	if u := nodes[0].Node.Info().PeersUnhealthy; u != 1 {
 		t.Errorf("peers_unhealthy = %d, want 1", u)
 	}
 
 	// Next dispatch of an n3-owned job starts on a healthy member directly.
-	spec2 := specOwnedBy(t, nodes[0].node, "n3")
-	_, route2, err := nodes[0].node.Dispatch(context.Background(), spec2)
+	spec2 := specOwnedBy(t, nodes[0].Node, "n3")
+	_, route2, err := nodes[0].Node.Dispatch(context.Background(), spec2)
 	if err != nil {
 		t.Fatalf("second dispatch: %v", err)
 	}
@@ -284,7 +238,7 @@ func TestRerouteAroundDeadPeer(t *testing.T) {
 // TestClusterSweepEndpoint: the coordinator's NDJSON sweep emits every point
 // in order plus a summary, and a rerun is byte-identical (served by caches).
 func TestClusterSweepEndpoint(t *testing.T) {
-	nodes := startCluster(t, 3, nil, nil)
+	nodes := startCluster(t, 3, nil, nil, nil)
 	sweep := map[string]any{
 		"base": map[string]any{
 			"workload": map[string]any{"kind": "chase", "region": "16K", "max_steps": 400},
@@ -294,7 +248,7 @@ func TestClusterSweepEndpoint(t *testing.T) {
 	}
 	run := func() (map[int]string, int) {
 		body, _ := json.Marshal(sweep)
-		resp, err := http.Post(nodes[0].ts.URL+"/v1/cluster/sweep", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(nodes[0].URL+"/v1/cluster/sweep", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,59 +350,60 @@ func TestCkptHandoffAcrossNodes(t *testing.T) {
 		func(i int) Config {
 			return Config{BreakerThreshold: 1, BreakerCooldown: time.Minute}
 		},
+		nil,
 	)
-	spec, hash := ckptSpecOwnedBy(t, nodes[0].node, "n3")
+	spec, hash := ckptSpecOwnedBy(t, nodes[0].Node, "n3")
 
 	// Healthy run: the owner executes and pushes each barrier snapshot to the
 	// next ring member (replication is synchronous with the barrier, so by the
 	// time Dispatch returns the replica holds the final snapshot).
-	res1, route1, err := nodes[0].node.Dispatch(context.Background(), spec)
+	res1, route1, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	if route1.Node != "n3" {
 		t.Fatalf("healthy dispatch answered by %s, want owner n3", route1.Node)
 	}
-	var owner, replica *testNode
+	var owner, replica *Member
 	for _, tn := range nodes {
-		if tn.id == "n3" {
+		if tn.ID == "n3" {
 			owner = tn
-		} else if _, ok := tn.srv.CheckpointBytes(hash); ok {
+		} else if _, ok := tn.Server.CheckpointBytes(hash); ok {
 			replica = tn
 		}
 	}
 	if replica == nil {
 		t.Fatal("no surviving member holds a replicated snapshot")
 	}
-	if n := owner.node.Info().CkptReplicated; n == 0 {
+	if n := owner.Node.Info().CkptReplicated; n == 0 {
 		t.Errorf("owner ckpt_replicated = %d, want > 0", n)
 	}
-	if n := replica.node.Info().CkptReceived; n == 0 {
+	if n := replica.Node.Info().CkptReceived; n == 0 {
 		t.Errorf("replica ckpt_received = %d, want > 0", n)
 	}
-	snap, _ := replica.srv.CheckpointBytes(hash)
+	snap, _ := replica.Server.CheckpointBytes(hash)
 
 	// The runner dies mid-"sweep". Re-dispatching reroutes to the ring
 	// successor, which finds the replicated snapshot in its own state dir and
 	// resumes from the last barrier.
-	owner.ts.Close()
-	res2, route2, err := nodes[0].node.Dispatch(context.Background(), spec)
+	owner.CloseHTTP()
+	res2, route2, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("dispatch after owner death: %v", err)
 	}
 	if route2.Node == "n3" {
 		t.Fatal("dead owner reported as the winner")
 	}
-	var winner *testNode
+	var winner *Member
 	for _, tn := range nodes {
-		if tn.id == route2.Node {
+		if tn.ID == route2.Node {
 			winner = tn
 		}
 	}
 	if winner != replica {
-		t.Errorf("winner %s is not the snapshot-holding successor %s", winner.id, replica.id)
+		t.Errorf("winner %s is not the snapshot-holding successor %s", winner.ID, replica.ID)
 	}
-	if n := winner.srv.MetricsSnapshot().JobsResumed; n == 0 {
+	if n := winner.Server.MetricsSnapshot().JobsResumed; n == 0 {
 		t.Error("surviving node re-simulated from scratch; want a checkpoint resume")
 	}
 	if !bytes.Equal(res1.Canonical(), res2.Canonical()) {
@@ -462,30 +417,30 @@ func TestCkptHandoffAcrossNodes(t *testing.T) {
 	c2 := startCluster(t, 2,
 		func(i int) server.Options {
 			return server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64, StateDir: t.TempDir()}
-		}, nil)
-	owner2 := c2[0].node.Owner(hash)
-	var runner2, holder2 *testNode
+		}, nil, nil)
+	owner2 := c2[0].Node.Owner(hash)
+	var runner2, holder2 *Member
 	for _, tn := range c2 {
-		if tn.id == owner2 {
+		if tn.ID == owner2 {
 			runner2 = tn
 		} else {
 			holder2 = tn
 		}
 	}
-	if err := holder2.srv.PutCheckpoint(hash, snap); err != nil {
-		t.Fatalf("PutCheckpoint on %s: %v", holder2.id, err)
+	if err := holder2.Server.PutCheckpoint(hash, snap); err != nil {
+		t.Fatalf("PutCheckpoint on %s: %v", holder2.ID, err)
 	}
-	res3, route3, err := c2[0].node.Dispatch(context.Background(), spec)
+	res3, route3, err := c2[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("dispatch on second cluster: %v", err)
 	}
 	if route3.Node != owner2 {
 		t.Fatalf("second-cluster dispatch answered by %s, want owner %s", route3.Node, owner2)
 	}
-	if n := runner2.node.Info().CkptRecovered; n != 1 {
+	if n := runner2.Node.Info().CkptRecovered; n != 1 {
 		t.Errorf("owner ckpt_recovered = %d, want 1", n)
 	}
-	if n := runner2.srv.MetricsSnapshot().JobsResumed; n == 0 {
+	if n := runner2.Server.MetricsSnapshot().JobsResumed; n == 0 {
 		t.Error("owner did not resume from the fetched snapshot")
 	}
 	if !bytes.Equal(res1.Canonical(), res3.Canonical()) {

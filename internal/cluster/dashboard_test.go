@@ -17,12 +17,12 @@ import (
 // dispatched through different coordinators must carry byte-identical
 // verdicts.
 func TestDashboardFleetWithPartition(t *testing.T) {
-	nodes := startCluster(t, 3, nil, nil)
+	nodes := startCluster(t, 3, nil, nil, nil)
 	ctx := context.Background()
 
 	// Run one job owned by n1 so its verdict survives the n3 partition.
-	spec := specOwnedBy(t, nodes[0].node, "n1")
-	res1, _, err := nodes[0].node.Dispatch(ctx, spec)
+	spec := specOwnedBy(t, nodes[0].Node, "n1")
+	res1, _, err := nodes[0].Node.Dispatch(ctx, spec)
 	if err != nil {
 		t.Fatalf("dispatch via n1: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestDashboardFleetWithPartition(t *testing.T) {
 	// The same spec through a different coordinator must produce the same
 	// verdict bytes (served from the owner's cache, but identical even if
 	// recomputed — the verdict is a pure function of the dump).
-	res2, _, err := nodes[1].node.Dispatch(ctx, spec)
+	res2, _, err := nodes[1].Node.Dispatch(ctx, spec)
 	if err != nil {
 		t.Fatalf("dispatch via n2: %v", err)
 	}
@@ -46,21 +46,21 @@ func TestDashboardFleetWithPartition(t *testing.T) {
 	}
 
 	// Partition n3: its listener goes away entirely.
-	nodes[2].ts.Close()
+	nodes[2].CloseHTTP()
 
 	for _, tn := range nodes[:2] {
-		resp, err := http.Get(tn.ts.URL + "/v1/dashboard/data")
+		resp, err := http.Get(tn.URL + "/v1/dashboard/data")
 		if err != nil {
-			t.Fatalf("GET dashboard data on %s: %v", tn.id, err)
+			t.Fatalf("GET dashboard data on %s: %v", tn.ID, err)
 		}
 		var data DashboardData
 		err = json.NewDecoder(resp.Body).Decode(&data)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("decode dashboard data on %s: %v", tn.id, err)
+			t.Fatalf("decode dashboard data on %s: %v", tn.ID, err)
 		}
-		if data.Self != tn.id {
-			t.Fatalf("self = %q, want %q", data.Self, tn.id)
+		if data.Self != tn.ID {
+			t.Fatalf("self = %q, want %q", data.Self, tn.ID)
 		}
 		if len(data.Fleet) != 3 {
 			t.Fatalf("fleet has %d members, want 3", len(data.Fleet))
@@ -84,19 +84,19 @@ func TestDashboardFleetWithPartition(t *testing.T) {
 			}
 		}
 		if len(data.Stages) == 0 {
-			t.Fatalf("no fleet-wide stage aggregates on %s", tn.id)
+			t.Fatalf("no fleet-wide stage aggregates on %s", tn.ID)
 		}
 		if data.Verdicts[res1.Verdict.Regime] == 0 {
 			t.Fatalf("fleet verdict count for %q missing on %s: %v",
-				res1.Verdict.Regime, tn.id, data.Verdicts)
+				res1.Verdict.Regime, tn.ID, data.Verdicts)
 		}
 		if data.Cluster.Revision == "" {
-			t.Fatalf("cluster info on %s carries no build revision", tn.id)
+			t.Fatalf("cluster info on %s carries no build revision", tn.ID)
 		}
 	}
 
 	// The embedded UI itself must be served by every member, self-contained.
-	resp, err := http.Get(nodes[1].ts.URL + "/v1/dashboard")
+	resp, err := http.Get(nodes[1].URL + "/v1/dashboard")
 	if err != nil {
 		t.Fatalf("GET dashboard page: %v", err)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,56 +12,6 @@ import (
 
 	"repro/internal/server"
 )
-
-// startClusterWrapped is startCluster with a per-member handler wrapper, so a
-// test can put a fault injector (e.g. a byte corruptor) on one member's wire
-// without touching the node itself.
-func startClusterWrapped(t *testing.T, n int, optsFor func(i int) server.Options,
-	cfgFor func(i int) Config, wrapFor func(i int, h http.Handler) http.Handler) []*testNode {
-	t.Helper()
-	handlers := make([]*swapHandler, n)
-	nodes := make([]*testNode, n)
-	peers := make([]Peer, n)
-	for i := range nodes {
-		handlers[i] = &swapHandler{}
-		ts := httptest.NewServer(handlers[i])
-		id := fmt.Sprintf("n%d", i+1)
-		nodes[i] = &testNode{id: id, ts: ts}
-		peers[i] = Peer{ID: id, URL: ts.URL}
-	}
-	for i := range nodes {
-		opts := server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64}
-		if optsFor != nil {
-			opts = optsFor(i)
-		}
-		cfg := Config{}
-		if cfgFor != nil {
-			cfg = cfgFor(i)
-		}
-		cfg.SelfID = nodes[i].id
-		cfg.Peers = peers
-		srv := server.New(opts)
-		node, err := NewNode(srv, cfg)
-		if err != nil {
-			t.Fatalf("NewNode(%s): %v", nodes[i].id, err)
-		}
-		nodes[i].srv, nodes[i].node = srv, node
-		h := http.Handler(node.Handler())
-		if wrapFor != nil {
-			h = wrapFor(i, h)
-		}
-		handlers[i].mu.Lock()
-		handlers[i].h = h
-		handlers[i].mu.Unlock()
-	}
-	t.Cleanup(func() {
-		for _, tn := range nodes {
-			tn.ts.Close()
-			tn.srv.Shutdown(10 * time.Second)
-		}
-	})
-	return nodes
-}
 
 // corruptor flips one byte of every response body while leaving headers (the
 // result digest included) intact — the signature of a peer with bad memory or
@@ -91,7 +40,7 @@ func (c corruptor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // healthy members.
 func TestQuarantineOnCorruptPeer(t *testing.T) {
 	const threshold = 2
-	nodes := startClusterWrapped(t, 3, nil,
+	nodes := startCluster(t, 3, nil,
 		func(i int) Config {
 			// A high breaker threshold keeps the breaker out of the way: this
 			// test is about the integrity ledger, not transient health.
@@ -108,7 +57,7 @@ func TestQuarantineOnCorruptPeer(t *testing.T) {
 	// Each attempt on n3 yields a corrupt response, costs a reroute, and the
 	// dispatch still completes elsewhere — corruption never poisons a result.
 	seed, dispatches := uint64(1), 0
-	for !nodes[0].node.Quarantined("n3") {
+	for !nodes[0].Node.Quarantined("n3") {
 		if dispatches >= threshold+2 {
 			t.Fatalf("n3 not quarantined after %d corrupt dispatches", dispatches)
 		}
@@ -122,11 +71,11 @@ func TestQuarantineOnCorruptPeer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if nodes[0].node.Owner(p.Hash()) == "n3" {
+			if nodes[0].Node.Owner(p.Hash()) == "n3" {
 				break
 			}
 		}
-		res, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+		res, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("dispatch %d: %v", dispatches, err)
 		}
@@ -139,7 +88,7 @@ func TestQuarantineOnCorruptPeer(t *testing.T) {
 		dispatches++
 	}
 
-	info := nodes[0].node.Info()
+	info := nodes[0].Node.Info()
 	if info.PeersQuarantined != 1 || info.Quarantines != 1 {
 		t.Errorf("quarantined=%d quarantines=%d, want 1/1", info.PeersQuarantined, info.Quarantines)
 	}
@@ -158,8 +107,8 @@ func TestQuarantineOnCorruptPeer(t *testing.T) {
 
 	// Exile is absolute: the next n3-owned dispatch must not even try n3 —
 	// no reroute, one attempt, answered by a healthy member.
-	spec := specOwnedBy(t, nodes[0].node, "n3")
-	_, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+	spec := specOwnedBy(t, nodes[0].Node, "n3")
+	_, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("post-quarantine dispatch: %v", err)
 	}
@@ -173,19 +122,20 @@ func TestQuarantineOnCorruptPeer(t *testing.T) {
 func TestAttemptBudgetFailsFast(t *testing.T) {
 	nodes := startCluster(t, 3, nil,
 		func(i int) Config { return Config{AttemptBudget: 1} },
+		nil,
 	)
-	spec := specOwnedBy(t, nodes[0].node, "n3")
+	spec := specOwnedBy(t, nodes[0].Node, "n3")
 
 	// Healthy fleet first: one attempt is all a clean dispatch needs, and the
 	// budget never shows up.
-	_, route, err := nodes[0].node.Dispatch(context.Background(), spec)
+	_, route, err := nodes[0].Node.Dispatch(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("healthy dispatch: %v", err)
 	}
 	if route.Attempts != 1 {
 		t.Errorf("healthy dispatch consumed %d attempts, want 1", route.Attempts)
 	}
-	if n := nodes[0].node.Info().BudgetExhausted; n != 0 {
+	if n := nodes[0].Node.Info().BudgetExhausted; n != 0 {
 		t.Errorf("budget_exhausted = %d on a healthy fleet, want 0", n)
 	}
 
@@ -198,12 +148,12 @@ func TestAttemptBudgetFailsFast(t *testing.T) {
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
-		if nodes[0].node.Owner(p.Hash()) == "n3" {
+		if nodes[0].Node.Owner(p.Hash()) == "n3" {
 			break
 		}
 	}
-	nodes[2].ts.Close()
-	_, route2, err := nodes[0].node.Dispatch(context.Background(), spec2)
+	nodes[2].CloseHTTP()
+	_, route2, err := nodes[0].Node.Dispatch(context.Background(), spec2)
 	if err == nil {
 		t.Fatalf("dispatch with a dead owner and budget 1 succeeded: route %+v", route2)
 	}
@@ -213,7 +163,7 @@ func TestAttemptBudgetFailsFast(t *testing.T) {
 	if route2.Attempts != 1 {
 		t.Errorf("failed dispatch consumed %d attempts, want exactly the budget (1)", route2.Attempts)
 	}
-	if n := nodes[0].node.Info().BudgetExhausted; n == 0 {
+	if n := nodes[0].Node.Info().BudgetExhausted; n == 0 {
 		t.Error("budget_exhausted counter not incremented by the refused reroute")
 	}
 }
@@ -227,14 +177,14 @@ func TestAntiEntropyRepairsReplica(t *testing.T) {
 	src := startCluster(t, 3,
 		func(i int) server.Options {
 			return server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64, StateDir: t.TempDir()}
-		}, nil)
-	spec, hash := ckptSpecOwnedBy(t, src[0].node, "n3")
-	if _, _, err := src[0].node.Dispatch(context.Background(), spec); err != nil {
+		}, nil, nil)
+	spec, hash := ckptSpecOwnedBy(t, src[0].Node, "n3")
+	if _, _, err := src[0].Node.Dispatch(context.Background(), spec); err != nil {
 		t.Fatalf("source dispatch: %v", err)
 	}
 	var snap []byte
 	for _, tn := range src {
-		if b, ok := tn.srv.CheckpointBytes(hash); ok {
+		if b, ok := tn.Server.CheckpointBytes(hash); ok {
 			snap = b
 			break
 		}
@@ -248,45 +198,45 @@ func TestAntiEntropyRepairsReplica(t *testing.T) {
 	fleet := startCluster(t, 3,
 		func(i int) server.Options {
 			return server.Options{Workers: 2, QueueDepth: 64, CacheEntries: 64, StateDir: t.TempDir()}
-		}, nil)
+		}, nil, nil)
 	holder := fleet[0]
-	if err := holder.srv.PutCheckpoint(hash, snap); err != nil {
+	if err := holder.Server.PutCheckpoint(hash, snap); err != nil {
 		t.Fatalf("PutCheckpoint: %v", err)
 	}
 	var target string
-	for _, id := range holder.node.ring.Order(hash) {
-		if id != holder.id {
+	for _, id := range holder.Node.ring.Order(hash) {
+		if id != holder.ID {
 			target = id
 			break
 		}
 	}
 
-	if n := holder.node.AntiEntropy(context.Background()); n != 1 {
+	if n := holder.Node.AntiEntropy(context.Background()); n != 1 {
 		t.Fatalf("first repair pass returned %d, want 1", n)
 	}
-	var targetNode *testNode
+	var targetNode *Member
 	for _, tn := range fleet {
-		if tn.id == target {
+		if tn.ID == target {
 			targetNode = tn
 		}
 	}
-	if !targetNode.srv.HasCheckpoint(hash) {
+	if !targetNode.Server.HasCheckpoint(hash) {
 		t.Fatalf("ring-preferred member %s does not hold the repaired replica", target)
 	}
 	for _, tn := range fleet {
-		if tn.id != holder.id && tn.id != target && tn.srv.HasCheckpoint(hash) {
-			t.Errorf("repair over-replicated: %s also holds the snapshot", tn.id)
+		if tn.ID != holder.ID && tn.ID != target && tn.Server.HasCheckpoint(hash) {
+			t.Errorf("repair over-replicated: %s also holds the snapshot", tn.ID)
 		}
 	}
-	if n := holder.node.Info().CkptRepaired; n != 1 {
+	if n := holder.Node.Info().CkptRepaired; n != 1 {
 		t.Errorf("ckpt_repaired = %d, want 1", n)
 	}
-	if n := targetNode.node.Info().CkptReceived; n != 1 {
+	if n := targetNode.Node.Info().CkptReceived; n != 1 {
 		t.Errorf("target ckpt_received = %d, want 1", n)
 	}
 
 	// Convergence: a second pass sees the replica (HEAD dedup) and is a no-op.
-	if n := holder.node.AntiEntropy(context.Background()); n != 0 {
+	if n := holder.Node.AntiEntropy(context.Background()); n != 0 {
 		t.Fatalf("second repair pass returned %d, want 0", n)
 	}
 }
@@ -295,10 +245,10 @@ func TestAntiEntropyRepairsReplica(t *testing.T) {
 // /v1/cluster/info and the Prometheus export; a dead peer shows up as a
 // failed probe without touching its breaker.
 func TestProbePeersRecordsHealth(t *testing.T) {
-	nodes := startCluster(t, 3, nil, nil)
-	nodes[0].node.ProbePeers(context.Background())
+	nodes := startCluster(t, 3, nil, nil, nil)
+	nodes[0].Node.ProbePeers(context.Background())
 
-	info := nodes[0].node.Info()
+	info := nodes[0].Node.Info()
 	if info.Probes != 2 || info.ProbeFailures != 0 {
 		t.Fatalf("probes=%d failures=%d after one healthy pass, want 2/0", info.Probes, info.ProbeFailures)
 	}
@@ -308,7 +258,7 @@ func TestProbePeersRecordsHealth(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(nodes[0].ts.URL + "/v1/metrics/prom")
+	resp, err := http.Get(nodes[0].URL + "/v1/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +270,9 @@ func TestProbePeersRecordsHealth(t *testing.T) {
 
 	// A dead peer fails its probe; probes stay observational, so the breaker
 	// must still read closed (no routing flap from monitoring alone).
-	nodes[2].ts.Close()
-	nodes[0].node.ProbePeers(context.Background())
-	info = nodes[0].node.Info()
+	nodes[2].CloseHTTP()
+	nodes[0].Node.ProbePeers(context.Background())
+	info = nodes[0].Node.Info()
 	if info.ProbeFailures != 1 {
 		t.Errorf("probe_failures = %d after probing a dead peer, want 1", info.ProbeFailures)
 	}
