@@ -164,7 +164,8 @@ func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
 // TestQueueRecordSize pins the records the controller moves through its two
 // queues on 64-bit hosts: a queued access is 40 bytes (its coordinates are
 // decoded when the scheduler looks at it) and a serviced one keeps only its
-// 24-byte continuation. Both queues shift their entries on every pop.
+// 24-byte continuation. The request queue shifts its entries when the
+// scheduler takes one; the serviced FIFO pops at its head.
 func TestQueueRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("record layout is pinned for 64-bit hosts")
@@ -174,5 +175,33 @@ func TestQueueRecordSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(completion{}); n != 24 {
 		t.Fatalf("completion is %d bytes, want 24", n)
+	}
+}
+
+// TestServicedFIFOBounded streams 100,000 accesses through a request queue
+// kept full. Each access's command issues before the previous data phase
+// ends, so the serviced FIFO never empties; its capacity must still be
+// bounded by the few accesses in flight, not grow with the stream.
+func TestServicedFIFOBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RefreshEnabled = false
+	c := newTestController(cfg)
+	const n = 100000
+	done, maxLive := 0, 0
+	count := func(any) { done++ }
+	for i := 0; i < n; {
+		if c.Schedule(uint64(i)*64, i%4 == 0, count, nil) {
+			i++
+		} else {
+			c.Engine().Step()
+		}
+		maxLive = max(maxLive, len(c.serviced)-c.servicedHead)
+	}
+	c.Engine().Run()
+	if done != n {
+		t.Fatalf("%d of %d accesses completed", done, n)
+	}
+	if got := cap(c.serviced); got > 64 {
+		t.Fatalf("serviced FIFO capacity %d after %d accesses with at most %d in flight", got, n, maxLive)
 	}
 }

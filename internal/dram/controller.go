@@ -64,9 +64,11 @@ type Stats struct {
 // command scheduler. It implements mem.System for standalone use and exposes
 // Schedule for composition inside larger models (iMC, NVDIMM).
 type Controller struct {
-	eng   *sim.Engine
-	cfg   Config
-	queue *sim.Queue[pending]
+	eng *sim.Engine
+	cfg Config
+	// queue holds the accepted accesses not yet serviced, oldest first: at
+	// most cfg.QueueDepth of them, and FR-FCFS may take any one.
+	queue []pending
 
 	banks []bankState
 	ranks []rankState
@@ -86,8 +88,11 @@ type Controller struct {
 	// are serialized on the bus — each access's data starts no earlier than
 	// busFree, which is at least every earlier access's data end — so
 	// completions fall due in service order and one FIFO drained by
-	// ctrlComplete replaces a closure per access.
-	serviced sim.Queue[completion]
+	// ctrlComplete replaces a closure per access. It pops at servicedHead
+	// and moves its live entries to the front when it fills, so its memory
+	// is bounded by the accesses in flight, not by the stream's length.
+	serviced     []completion
+	servicedHead int
 	// reqDone completes the *mem.Request passed as its arg: the
 	// continuation of every access Submit queues, bound by the first
 	// Submit (the composed models only Schedule).
@@ -128,7 +133,6 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 	c := &Controller{
 		eng:   eng,
 		cfg:   cfg,
-		queue: sim.NewQueue[pending](cfg.QueueDepth),
 		banks: make([]bankState, cfg.Geometry.totalBanks()),
 		ranks: make([]rankState, cfg.Geometry.Ranks),
 	}
@@ -160,7 +164,7 @@ func (c *Controller) Engine() *sim.Engine { return c.eng }
 func (c *Controller) CyclesPerNano() float64 { return CyclesPerNano }
 
 // Drained implements mem.System.
-func (c *Controller) Drained() bool { return c.inflight == 0 && c.queue.Empty() }
+func (c *Controller) Drained() bool { return c.inflight == 0 && len(c.queue) == 0 }
 
 // Stats returns a copy of the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -179,14 +183,14 @@ func (c *Controller) Submit(r *mem.Request) bool {
 		c.completeWhenDrained(r)
 		return true
 	}
-	if c.queue.Full() {
+	if c.full() {
 		return false
 	}
 	r.Issued = c.eng.Now()
 	if c.reqDone == nil {
 		c.reqDone = func(a any) { a.(*mem.Request).Complete(c.eng.Now()) }
 	}
-	c.queue.Push(pending{done: c.reqDone, arg: r, addr: r.Addr, bursts: 1,
+	c.queue = append(c.queue, pending{done: c.reqDone, arg: r, addr: r.Addr, bursts: 1,
 		write: r.Op.IsWrite() || r.Op == mem.OpClwb})
 	c.inflight++
 	c.kick()
@@ -205,17 +209,20 @@ func (c *Controller) Schedule(addr uint64, write bool, done func(any), arg any) 
 // data completes. It reports false, with no side effect, when the queue is
 // full.
 func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func(any), arg any) bool {
-	if c.queue.Full() {
+	if c.full() {
 		return false
 	}
 	if n < 1 {
 		n = 1
 	}
-	c.queue.Push(pending{done: done, arg: arg, addr: addr, bursts: int32(n), write: write})
+	c.queue = append(c.queue, pending{done: done, arg: arg, addr: addr, bursts: int32(n), write: write})
 	c.inflight++
 	c.kick()
 	return true
 }
+
+// full reports whether the request queue is at its depth.
+func (c *Controller) full() bool { return len(c.queue) >= c.cfg.QueueDepth }
 
 func (c *Controller) completeWhenDrained(r *mem.Request) {
 	r.Issued = c.eng.Now()
@@ -237,7 +244,12 @@ func ctrlServiceNext(a any) { a.(*Controller).serviceNext() }
 // serviced access, which is the one due (see Controller.serviced).
 func ctrlComplete(a any) {
 	c := a.(*Controller)
-	p, _ := c.serviced.Pop()
+	p := c.serviced[c.servicedHead]
+	c.serviced[c.servicedHead] = completion{}
+	c.servicedHead++
+	if c.servicedHead == len(c.serviced) {
+		c.serviced, c.servicedHead = c.serviced[:0], 0
+	}
 	c.inflight--
 	if p.done != nil {
 		p.done(p.arg)
@@ -255,23 +267,17 @@ func (c *Controller) kick() {
 
 // pickNext selects the next queued request index per policy.
 func (c *Controller) pickNext() int {
-	if c.cfg.Policy == FCFS || c.queue.Len() == 1 {
+	if c.cfg.Policy == FCFS || len(c.queue) == 1 {
 		return 0
 	}
 	// FR-FCFS: oldest row hit first, else oldest.
-	hit := -1
 	g := &c.cfg.Geometry
-	c.queue.Scan(func(i int, p pending) bool {
-		coord := g.MapAddr(p.addr)
-		b := c.banks[g.bankIndex(coord)]
+	for i := range c.queue {
+		coord := g.MapAddr(c.queue[i].addr)
+		b := &c.banks[g.bankIndex(coord)]
 		if b.open && b.openRow == coord.Row {
-			hit = i
-			return false
+			return i
 		}
-		return true
-	})
-	if hit >= 0 {
-		return hit
 	}
 	return 0
 }
@@ -281,11 +287,16 @@ func (c *Controller) pickNext() int {
 // at the cycle the command bus frees up, overlapping bank timing of
 // subsequent requests.
 func (c *Controller) serviceNext() {
-	if c.queue.Empty() {
+	if len(c.queue) == 0 {
 		c.busy = false
 		return
 	}
-	p := c.queue.RemoveAt(c.pickNext())
+	i := c.pickNext()
+	p := c.queue[i]
+	last := len(c.queue) - 1
+	copy(c.queue[i:], c.queue[i+1:])
+	c.queue[last] = pending{}
+	c.queue = c.queue[:last]
 	now := c.eng.Now()
 	t := &c.cfg.Timing
 	g := &c.cfg.Geometry
@@ -434,13 +445,18 @@ func (c *Controller) serviceNext() {
 			Write: p.write, Comp: c.comp, Addr: p.addr, Arg: uint64(dataEnd - rwAt)})
 	}
 
-	c.serviced.Push(completion{p.done, p.arg})
+	if len(c.serviced) == cap(c.serviced) && c.servicedHead > 0 {
+		n := copy(c.serviced, c.serviced[c.servicedHead:])
+		clear(c.serviced[n:])
+		c.serviced, c.servicedHead = c.serviced[:n], 0
+	}
+	c.serviced = append(c.serviced, completion{p.done, p.arg})
 	c.eng.ScheduleFn(dataEnd, ctrlComplete, c)
 
 	// Next request may begin scheduling once this one's column command has
 	// issued — that is where command-bus serialization bites.
 	next := maxCycle(rwAt, now+1)
-	if c.queue.Empty() {
+	if len(c.queue) == 0 {
 		c.busy = false
 		return
 	}

@@ -93,76 +93,6 @@ func TestEngineRunWhile(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndBounds(t *testing.T) {
-	q := NewQueue[int](3)
-	for i := 1; i <= 3; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if q.Push(4) {
-		t.Fatal("push into full queue succeeded")
-	}
-	if !q.Full() || q.Len() != 3 {
-		t.Fatalf("Full=%v Len=%d", q.Full(), q.Len())
-	}
-	for want := 1; want <= 3; want++ {
-		got, ok := q.Pop()
-		if !ok || got != want {
-			t.Fatalf("pop = %d,%v want %d,true", got, ok, want)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop from empty succeeded")
-	}
-}
-
-func TestQueueUnbounded(t *testing.T) {
-	q := NewQueue[int](0)
-	for i := 0; i < 1000; i++ {
-		if !q.Push(i) {
-			t.Fatalf("unbounded push %d failed", i)
-		}
-	}
-	if q.Full() {
-		t.Fatal("unbounded queue reports full")
-	}
-}
-
-func TestQueueRemoveAtPreservesOrder(t *testing.T) {
-	q := NewQueue[int](0)
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	if got := q.RemoveAt(2); got != 2 {
-		t.Fatalf("RemoveAt(2) = %d, want 2", got)
-	}
-	want := []int{0, 1, 3, 4}
-	for _, w := range want {
-		got, _ := q.Pop()
-		if got != w {
-			t.Fatalf("after RemoveAt, pop = %d want %d", got, w)
-		}
-	}
-}
-
-func TestQueuePeekAndScan(t *testing.T) {
-	q := NewQueue[string](0)
-	q.Push("a")
-	q.Push("b")
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("peek = %q,%v", v, ok)
-	}
-	var seen []string
-	q.Scan(func(i int, s string) bool { seen = append(seen, s); return true })
-	if len(seen) != 2 || seen[0] != "a" || seen[1] != "b" {
-		t.Fatalf("scan = %v", seen)
-	}
-	if q.Len() != 2 {
-		t.Fatal("scan mutated the queue")
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
