@@ -6,18 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
 // Accumulator collects samples and exposes streaming moments plus the raw
 // samples for percentile queries. It is used for latency distributions.
 type Accumulator struct {
