@@ -243,11 +243,7 @@ func runSweep(url string, sweep map[string]any) (*sweepResult, error) {
 			res.peerFilled++
 		}
 		if len(line.Result) > 0 {
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, line.Result); err != nil {
-				return nil, err
-			}
-			res.canon[*line.Index] = compact.String()
+			res.canon[*line.Index] = string(line.Result)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -642,7 +638,8 @@ func (d *demoRun) phasePreempt(nodes []demoNode) error {
 }
 
 // dispatchJob runs one job through a coordinator's cluster endpoint and
-// returns the compacted canonical result plus the winning node.
+// returns the reply's result, which is the canonical result JSON as it
+// arrived, plus the winning node.
 func dispatchJob(coordURL string, spec server.JobSpec) (canon, node string, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -666,11 +663,7 @@ func dispatchJob(coordURL string, spec server.JobSpec) (canon, node string, err 
 	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
 		return "", "", err
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, dr.Result); err != nil {
-		return "", "", err
-	}
-	return compact.String(), dr.Route.Node, nil
+	return string(dr.Result), dr.Route.Node, nil
 }
 
 // nodeMetrics scrapes the local scheduler counters the demo asserts on.

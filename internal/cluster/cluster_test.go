@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -466,5 +467,56 @@ func TestSingleMemberCluster(t *testing.T) {
 	}
 	if info := node.Info(); info.DispatchLocal != 1 || info.DispatchRemote != 0 {
 		t.Errorf("dispatch counters local=%d remote=%d, want 1/0", info.DispatchLocal, info.DispatchRemote)
+	}
+}
+
+// TestClusterJobReplyIsCanonical: POST /v1/cluster/jobs answers with one line
+// of compact JSON whose result is Result.Canonical() of the job byte for
+// byte, whichever member ran it.
+func TestClusterJobReplyIsCanonical(t *testing.T) {
+	nodes := startCluster(t, 2, nil, nil, nil)
+	spec := clusterChaseSpec(7)
+	p, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := server.NewRunner().Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Canonical()
+
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nodes[0].URL+"/v1/cluster/jobs", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	line, ok := bytes.CutSuffix(body, []byte("\n"))
+	if !ok || bytes.IndexByte(line, '\n') >= 0 {
+		t.Fatalf("reply is not one line of JSON: %q", body)
+	}
+	var dr struct {
+		Route  Route           `json:"route"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(line, &dr); err != nil {
+		t.Fatal(err)
+	}
+	if dr.Route.Hash != p.Hash() {
+		t.Errorf("route hash %s, want %s", dr.Route.Hash, p.Hash())
+	}
+	if !bytes.Equal(dr.Result, want) {
+		t.Errorf("result member is not the canonical bytes:\n got %s\nwant %s", dr.Result, want)
 	}
 }

@@ -149,11 +149,11 @@ func (n *Node) handleDashboard(w http.ResponseWriter, r *http.Request) {
 
 // handleDashboardData serves the fleet-wide aggregation.
 func (n *Node) handleDashboardData(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.Dashboard(r.Context()))
+	server.WriteJSON(w, http.StatusOK, n.Dashboard(r.Context()))
 }
 
 // handleDashboardLocal serves this node's own contribution — the peer
 // protocol behind the fleet fan-out.
 func (n *Node) handleDashboardLocal(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.localDash())
+	server.WriteJSON(w, http.StatusOK, n.localDash())
 }

@@ -49,25 +49,6 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
 // writeCanonical sends a result as its canonical JSON bytes, so a result
 // relayed through any number of peers stays byte-identical to the origin.
 // The digest header lets every receiver verify the bytes arrived intact and
@@ -92,15 +73,15 @@ func (n *Node) handleClusterJob(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, route, err := n.Dispatch(r.Context(), spec)
 	if err != nil {
-		writeError(w, dispatchErrorCode(err), err)
+		server.WriteError(w, dispatchErrorCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dispatchResponse{Route: route, Result: res})
+	server.WriteJSON(w, http.StatusOK, dispatchResponse{Route: route, Result: res})
 }
 
 // dispatchErrorCode maps a dispatch failure onto an HTTP status.
@@ -152,12 +133,12 @@ func (n *Node) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	specs, vals, err := server.ExpandSweep(sr)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -220,7 +201,7 @@ func (n *Node) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.Info())
+	server.WriteJSON(w, http.StatusOK, n.Info())
 }
 
 // maxPeerWait caps how long a peer fill may park on the owner's in-flight
@@ -234,14 +215,14 @@ const maxPeerWait = 5 * time.Second
 func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if len(hash) != 64 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
 		return
 	}
 	var wait time.Duration
 	if ms := r.URL.Query().Get("wait_ms"); ms != "" {
 		v, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad wait_ms %q", ms))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad wait_ms %q", ms))
 			return
 		}
 		wait = time.Duration(v) * time.Millisecond
@@ -260,7 +241,7 @@ func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		n.m.peerServeMiss.Add(1)
-		writeError(w, http.StatusNotFound, errors.New("result not cached here"))
+		server.WriteError(w, http.StatusNotFound, errors.New("result not cached here"))
 		return
 	}
 	n.m.peerServeHits.Add(1)
@@ -275,7 +256,7 @@ func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handlePeerCkptGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if len(hash) != 64 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
 		return
 	}
 	if r.Method == http.MethodHead {
@@ -288,7 +269,7 @@ func (n *Node) handlePeerCkptGet(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, ok := n.local.CheckpointBytes(hash)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no snapshot here"))
+		server.WriteError(w, http.StatusNotFound, errors.New("no snapshot here"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -302,16 +283,16 @@ func (n *Node) handlePeerCkptGet(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handlePeerCkptPut(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if len(hash) != 64 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: malformed job hash %q", hash))
 		return
 	}
 	snap, err := io.ReadAll(io.LimitReader(r.Body, maxCkptBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.local.PutCheckpoint(hash, snap); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	n.m.ckptReceived.Add(1)
@@ -327,7 +308,7 @@ func (n *Node) handlePeerRun(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	n.m.peerRuns.Add(1)
@@ -342,18 +323,18 @@ func (n *Node) handlePeerRun(w http.ResponseWriter, r *http.Request) {
 	st, err := n.local.SubmitNoFill(r.Context(), spec)
 	switch {
 	case errors.Is(err, server.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
+		server.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, server.ErrDraining), errors.Is(err, server.ErrBreakerOpen):
-		writeError(w, http.StatusServiceUnavailable, err)
+		server.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	fin, err := n.local.Wait(r.Context(), st.ID)
 	if err != nil {
-		writeError(w, http.StatusGatewayTimeout, err)
+		server.WriteError(w, http.StatusGatewayTimeout, err)
 		return
 	}
 	switch fin.State {
@@ -361,8 +342,8 @@ func (n *Node) handlePeerRun(w http.ResponseWriter, r *http.Request) {
 		res, _, _ := n.local.Result(st.ID)
 		writeCanonical(w, res)
 	case server.JobCanceled:
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job canceled: %s", fin.Error))
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("job canceled: %s", fin.Error))
 	default:
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("job failed: %s", fin.Error))
+		server.WriteError(w, http.StatusInternalServerError, fmt.Errorf("job failed: %s", fin.Error))
 	}
 }

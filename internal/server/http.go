@@ -33,23 +33,27 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as one line of compact JSON with the given status: the
+// reply writer of every nvmserved and cluster JSON endpoint. A *Result
+// member encodes to exactly its Canonical bytes, so a reply's result can be
+// compared, hashed or relayed as it arrives (`jq .` indents it for reading).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError writes err as {"error": ...} with the given status. Load
+// pushback (503 and 429) carries Retry-After.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
 // submitResponse is the POST /v1/jobs payload: the job status, plus the
@@ -64,25 +68,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding: the queue is saturated — back off and retry.
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.URL.Query().Get("wait") != "" && st.State != JobDone {
 		if st, err = s.Wait(r.Context(), st.ID); err != nil {
-			writeError(w, http.StatusGatewayTimeout, err)
+			WriteError(w, http.StatusGatewayTimeout, err)
 			return
 		}
 	}
@@ -92,32 +96,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 		resp.Result, _, _ = s.Result(st.ID)
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Status(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, st, ok := s.Result(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
 	}
 	switch st.State {
 	case JobDone:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	case JobQueued, JobRunning:
 		// Not terminal yet: report progress, not an error.
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	default:
-		writeJSON(w, http.StatusConflict, st)
+		WriteJSON(w, http.StatusConflict, st)
 	}
 }
 
@@ -162,11 +166,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
@@ -181,12 +185,12 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	_, st, ok := s.Result(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
 	}
 	snap, ok := s.CheckpointBytes(st.Hash)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			errors.New("no checkpoint for this job (finished, never snapshotted, or no state dir)"))
 		return
 	}
@@ -200,21 +204,21 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	res, st, ok := s.Result(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
 	}
 	switch st.State {
 	case JobDone:
 	case JobQueued, JobRunning:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 		return
 	default:
-		writeJSON(w, http.StatusConflict, st)
+		WriteJSON(w, http.StatusConflict, st)
 		return
 	}
 	lt := res.Trace()
 	if lt == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			errors.New("job was not traced; submit with \"trace\": true"))
 		return
 	}
