@@ -78,12 +78,17 @@ func (r *Result) Canonical() []byte {
 // Runner builds a fresh sim.Engine + vans.System per job: the simulation
 // substrate is single-threaded by design and is never shared across
 // goroutines, so concurrent jobs are fully isolated and every run is
-// deterministic under its plan.
+// deterministic under its plan. A Runner runs one job at a time.
 type Runner struct {
 	// checkEvery is how many submissions pass between context polls
 	// (exported knob for tests; 0 uses a default that keeps cancellation
 	// latency well under a millisecond of host time).
 	checkEvery int
+	// enc encodes every snapshot this Runner takes. Seal copies the payload
+	// out, so the buffer is free again after each barrier; it keeps the
+	// largest snapshot's capacity for the Runner's life, and later jobs
+	// encode without regrowing it.
+	enc ckpt.Enc
 }
 
 // NewRunner returns a Runner with default settings.
@@ -133,7 +138,7 @@ type CkptIO struct {
 // the snapshot to its plan, the cut's access index, the total access count,
 // then driver and system state. The stamp is the job hash for job snapshots
 // and the WarmHash for warm snapshots. enc is reset first; one encoder serves
-// every barrier of a run, since Seal copies the payload out.
+// every barrier of every run on a Runner, since Seal copies the payload out.
 func encodeSnapshot(enc *ckpt.Enc, stamp string, idx, total int, d *mem.Driver, sys *vans.System) ([]byte, error) {
 	enc.Reset()
 	enc.String(stamp)
@@ -257,10 +262,9 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 		}
 		if io != nil && (io.Sink != nil || io.WarmSink != nil) {
 			total := len(accs)
-			var enc ckpt.Enc
 			pol.Sink = func(i int) error {
 				if i == W && W > 0 && io.WarmSink != nil {
-					snap, err := encodeSnapshot(&enc, p.WarmHash(), W, W, d, sys)
+					snap, err := encodeSnapshot(&rn.enc, p.WarmHash(), W, W, d, sys)
 					if err != nil {
 						return err
 					}
@@ -269,7 +273,7 @@ func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *
 				if io.Sink == nil {
 					return nil
 				}
-				snap, err := encodeSnapshot(&enc, p.Hash(), i, total, d, sys)
+				snap, err := encodeSnapshot(&rn.enc, p.Hash(), i, total, d, sys)
 				if err != nil {
 					return err
 				}
