@@ -206,24 +206,38 @@ func (b *AITBuffer) find(page uint64) int {
 	return -1
 }
 
-// LookupSector probes for the given sector of page. It returns:
-// lineHit (the 4KB line is resident), sectorHit (that 256B sector is valid).
-// LRU and statistics are updated.
-func (b *AITBuffer) LookupSector(page uint64, sector int) (lineHit, sectorHit bool) {
+// wayOf returns the way index holding page, or -1, checking way first. A
+// line stays in its way until it is evicted, and a page is resident in at
+// most one way of its set, so a way noted when the line was looked up or
+// allocated answers exactly as find does; only a line that has moved since
+// (or a way of -1) costs the scan.
+func (b *AITBuffer) wayOf(page uint64, way int) int {
+	if way >= 0 {
+		if l := &b.set(page)[way]; l.present && l.page == page {
+			return way
+		}
+	}
+	return b.find(page)
+}
+
+// LookupSector probes for the given sector of page. It returns the way
+// holding the 4KB line (-1 on a line miss) and sectorHit (that 256B sector
+// is valid). LRU and statistics are updated.
+func (b *AITBuffer) LookupSector(page uint64, sector int) (way int, sectorHit bool) {
 	i := b.find(page)
 	if i < 0 {
 		b.misses++
-		return false, false
+		return -1, false
 	}
 	set := b.set(page)
 	b.tick++
 	set[i].lastUse = b.tick
 	if set[i].valid&(1<<sector) == 0 {
 		b.sectorMiss++
-		return true, false
+		return i, false
 	}
 	b.hits++
-	return true, true
+	return i, true
 }
 
 // AITEvicted describes a line displaced by Allocate.
@@ -232,11 +246,12 @@ type AITEvicted struct {
 	DirtySector uint16
 }
 
-// Allocate installs a line for page (invalid sectors) and returns the
-// displaced line if one was evicted. Allocating a resident page is a no-op.
-func (b *AITBuffer) Allocate(page uint64) (ev AITEvicted, evicted bool) {
-	if b.find(page) >= 0 {
-		return AITEvicted{}, false
+// Allocate installs a line for page (invalid sectors) and returns its way
+// and the displaced line if one was evicted. Allocating a resident page only
+// returns its way.
+func (b *AITBuffer) Allocate(page uint64) (way int, ev AITEvicted, evicted bool) {
+	if i := b.find(page); i >= 0 {
+		return i, AITEvicted{}, false
 	}
 	set := b.set(page)
 	victim := 0
@@ -256,12 +271,14 @@ func (b *AITBuffer) Allocate(page uint64) (ev AITEvicted, evicted bool) {
 install:
 	b.tick++
 	set[victim] = aitLine{page: page, lastUse: b.tick, present: true}
-	return ev, evicted
+	return victim, ev, evicted
 }
 
 // FillSector marks one sector of a resident page valid (after a media read).
-func (b *AITBuffer) FillSector(page uint64, sector int) {
-	if i := b.find(page); i >= 0 {
+// way is where the page's line was when the read started (-1 if unknown);
+// the line is found there unless it has moved since.
+func (b *AITBuffer) FillSector(page uint64, way, sector int) {
+	if i := b.wayOf(page, way); i >= 0 {
 		b.set(page)[i].valid |= 1 << sector
 	}
 }
@@ -285,9 +302,10 @@ func (b *AITBuffer) CleanLine(page uint64) {
 }
 
 // missingMask returns the invalid-sector bitmask of a resident page (bit s
-// set = sector s invalid), 0 when the page is absent.
-func (b *AITBuffer) missingMask(page uint64) uint16 {
-	i := b.find(page)
+// set = sector s invalid), 0 when the page is absent. way is checked first,
+// as in FillSector.
+func (b *AITBuffer) missingMask(page uint64, way int) uint16 {
+	i := b.wayOf(page, way)
 	if i < 0 {
 		return 0
 	}

@@ -78,16 +78,16 @@ func TestRMWCapacityInvariant(t *testing.T) {
 
 func TestAITBufferSectorSemantics(t *testing.T) {
 	b := NewAITBuffer(16, 4, 4096, 256)
-	lineHit, secHit := b.LookupSector(5, 0)
-	if lineHit || secHit {
+	way, secHit := b.LookupSector(5, 0)
+	if way >= 0 || secHit {
 		t.Fatal("cold lookup hit")
 	}
-	b.Allocate(5)
-	lineHit, secHit = b.LookupSector(5, 0)
-	if !lineHit || secHit {
-		t.Fatalf("after allocate: lineHit=%v secHit=%v, want true/false", lineHit, secHit)
+	alloc, _, _ := b.Allocate(5)
+	way, secHit = b.LookupSector(5, 0)
+	if way != alloc || secHit {
+		t.Fatalf("after allocate: way=%d secHit=%v, want %d/false", way, secHit, alloc)
 	}
-	b.FillSector(5, 0)
+	b.FillSector(5, way, 0)
 	_, secHit = b.LookupSector(5, 0)
 	if !secHit {
 		t.Fatal("filled sector not hit")
@@ -99,12 +99,12 @@ func TestAITBufferSectorSemantics(t *testing.T) {
 
 func TestAITBufferMissingSectors(t *testing.T) {
 	b := NewAITBuffer(16, 4, 1024, 256) // 4 sectors per line
-	b.Allocate(7)
-	b.FillSector(7, 2)
-	if got := b.missingMask(7); got != 0b1011 {
+	way, _, _ := b.Allocate(7)
+	b.FillSector(7, way, 2)
+	if got := b.missingMask(7, way); got != 0b1011 {
 		t.Fatalf("missing mask = %04b, want 1011 (every sector but the filled one)", got)
 	}
-	if got := b.missingMask(99); got != 0 {
+	if got := b.missingMask(99, -1); got != 0 {
 		t.Fatalf("absent page missing mask = %04b, want 0", got)
 	}
 }
@@ -115,9 +115,38 @@ func TestAITBufferEvictionDirty(t *testing.T) {
 	b.Allocate(0)
 	b.WriteSector(0, 1, true) // dirty in write-back mode
 	b.Allocate(2)
-	ev, evicted := b.Allocate(4) // set 0 full -> evict LRU (page 0)
+	_, ev, evicted := b.Allocate(4) // set 0 full -> evict LRU (page 0)
 	if !evicted || ev.Page != 0 || ev.DirtySector != 0b0010 {
 		t.Fatalf("eviction = %+v (%v)", ev, evicted)
+	}
+}
+
+// TestAITBufferFillMovedLine: a fill whose line was evicted and allocated
+// again in another way lands on the page's new way, not on the line that
+// took its old one, and a fill for an evicted page changes nothing.
+func TestAITBufferFillMovedLine(t *testing.T) {
+	// 4 entries, 2 ways -> 2 sets. Pages 0, 2 and 4 share set 0.
+	b := NewAITBuffer(4, 2, 1024, 256)
+	old, _, _ := b.Allocate(0)
+	b.Allocate(2)
+	b.Allocate(4) // evicts page 0; page 4 takes its way
+	if w, _ := b.LookupSector(4, 0); w != old {
+		t.Fatalf("page 4 in way %d, want page 0's old way %d", w, old)
+	}
+	b.FillSector(0, old, 1) // page 0 is gone: no line may change
+	if m := b.missingMask(4, -1); m != 0b1111 {
+		t.Fatalf("fill for an evicted page touched page 4: missing %04b", m)
+	}
+	now, _, _ := b.Allocate(0) // evicts page 2 (LRU): page 0 moves ways
+	if now == old {
+		t.Fatalf("page 0 came back to way %d; the test needs it to move", now)
+	}
+	b.FillSector(0, old, 1)
+	if m := b.missingMask(0, now); m != 0b1101 {
+		t.Fatalf("page 0 missing %04b after a fill with its old way, want 1101", m)
+	}
+	if m := b.missingMask(4, old); m != 0b1111 {
+		t.Fatalf("page 4 missing %04b, want 1111: the fill landed on the old way", m)
 	}
 }
 

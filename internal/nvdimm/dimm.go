@@ -475,6 +475,7 @@ type aitOp struct {
 	block  uint64
 	page   uint64
 	sector int
+	way    int       // the page's AIT buffer way on a read miss (FillSector)
 	start  sim.Cycle // for the histAIT latency
 	rdone  func(any, error)
 	wdone  func(any)
@@ -544,7 +545,7 @@ func dimmAITReadLookup(a any) {
 	op := a.(*aitOp)
 	d := op.d
 	page, sector := op.page, op.sector
-	lineHit, sectorHit := d.buf.LookupSector(page, sector)
+	way, sectorHit := d.buf.LookupSector(page, sector)
 	if d.o.Active() {
 		pos := obs.PosMiss
 		if sectorHit {
@@ -557,13 +558,14 @@ func dimmAITReadLookup(a any) {
 		d.dramBurst(d.dataAddr(page, sector), int(d.cfg.RMWBlock/64), false, dimmAITDone, op)
 		return
 	}
-	if !lineHit {
-		d.allocateAITLine(page)
+	if way < 0 {
+		way = d.allocateAITLine(page)
 	}
+	op.way = way
 	// Critical sector from media, following sectors in the background.
 	d.mediaAccess(op.block, false, dimmAITReadMedia, op)
 	if d.cfg.ReadFillLine {
-		d.fillLine(page, sector)
+		d.fillLine(page, way, sector)
 	}
 }
 
@@ -575,18 +577,19 @@ func dimmAITReadMedia(a any, err error) {
 		// The fetched sector is also written into the DRAM buffer; that
 		// write is off the critical path. A poisoned sector has nothing
 		// valid to install or buffer.
-		d.buf.FillSector(op.page, op.sector)
+		d.buf.FillSector(op.page, op.way, op.sector)
 		d.dramBurst(d.dataAddr(op.page, op.sector), int(d.cfg.RMWBlock/64), true, nil, nil)
 	}
 	d.aitDone(op, err)
 }
 
 // allocateAITLine makes room for page in the AIT buffer, writing back any
-// dirty sectors of the victim (write-back mode only).
-func (d *DIMM) allocateAITLine(page uint64) {
-	ev, dirty := d.buf.Allocate(page)
+// dirty sectors of the victim (write-back mode only), and returns the way
+// the line went to.
+func (d *DIMM) allocateAITLine(page uint64) int {
+	way, ev, dirty := d.buf.Allocate(page)
 	if !dirty {
-		return
+		return way
 	}
 	for s := 0; s < int(d.cfg.AITLine/d.cfg.RMWBlock); s++ {
 		if ev.DirtySector&(1<<s) == 0 {
@@ -596,12 +599,14 @@ func (d *DIMM) allocateAITLine(page uint64) {
 		d.writesInFlight++
 		d.mediaAccess(victimBlock, true, dimmWriteDoneErr, d)
 	}
+	return way
 }
 
 // fillOp is one background sector fill of fillLine.
 type fillOp struct {
 	d      *DIMM
 	page   uint64
+	way    int // the line's way when the fill was issued
 	sector int
 }
 
@@ -609,8 +614,8 @@ type fillOp struct {
 // (critical sector first, the other sectors across the fill ports — the
 // whole-line fill LENS's amplification probe observes). Fills shed when the
 // backlog saturates.
-func (d *DIMM) fillLine(page uint64, except int) {
-	missing := d.buf.missingMask(page)
+func (d *DIMM) fillLine(page uint64, way, except int) {
+	missing := d.buf.missingMask(page, way)
 	for s := 0; missing != 0; s, missing = s+1, missing>>1 {
 		if missing&1 == 0 || s == except {
 			continue
@@ -619,21 +624,21 @@ func (d *DIMM) fillLine(page uint64, except int) {
 			return
 		}
 		f := d.fills.Get()
-		*f = fillOp{d: d, page: page, sector: s}
+		*f = fillOp{d: d, page: page, way: way, sector: s}
 		d.mediaAccessPri(page*d.cfg.AITLine+uint64(s)*d.cfg.RMWBlock, false, true, dimmFillDone, f)
 	}
 }
 
 func dimmFillDone(a any, err error) {
 	f := a.(*fillOp)
-	d, page, s := f.d, f.page, f.sector
+	d, page, way, s := f.d, f.page, f.way, f.sector
 	d.fills.Put(f)
 	if err != nil {
 		// Poisoned speculative fill: drop it silently — the sector stays
 		// invalid and a later demand read surfaces the fault.
 		return
 	}
-	d.buf.FillSector(page, s)
+	d.buf.FillSector(page, way, s)
 	d.dramBurst(d.dataAddr(page, s), int(d.cfg.RMWBlock/64), true, nil, nil)
 }
 
