@@ -4,9 +4,10 @@ GO ?= go
 # microbenchmarks, the observability hot-path (hooks-disabled overhead), the
 # per-layer request-path rungs (the driver's issue loop over a fixed-capacity
 # stub, an iMC channel's store back-pressure over a real DIMM, DIMM read
-# miss, on-DIMM DRAM access), and the CPU substrate (the core over a
-# fixed-latency stub, building the L3).
-BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/mem/ ./internal/imc/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/
+# miss, on-DIMM DRAM access), the CPU substrate (the core over a
+# fixed-latency stub, building the L3), and nvmserved's reply path (a cached
+# submission through the HTTP handler).
+BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/mem/ ./internal/imc/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/ ./internal/server/
 
 .PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
