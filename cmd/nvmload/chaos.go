@@ -72,11 +72,13 @@ func (c *chaosRun) run() error {
 
 	// Phase 1: solo reference, no chaos — the canonical truth every chaos
 	// sweep must reproduce byte for byte.
-	ref1, ref2, refCkpt, err := c.reference(filepath.Join(dir, "ref"), sweep1, sweep2, ckptSpec)
+	ref1, ref2, refCkpt, perPoint, err := c.reference(filepath.Join(dir, "ref"), sweep1, sweep2, ckptSpec)
 	if err != nil {
 		return fmt.Errorf("reference phase: %w", err)
 	}
-	log.Printf("phase 1 reference: solo node ran %d points + 1 checkpoint job", 2*c.points)
+	hedgeAfter := chaosHedgeBudget(perPoint, c.points)
+	log.Printf("phase 1 reference: solo node ran %d points + 1 checkpoint job (%.1fms per point; hedge budget %s)",
+		2*c.points, float64(perPoint)/float64(time.Millisecond), hedgeAfter)
 
 	// The fault fabric: a lossy, laggy network everywhere; every byte n3
 	// sends corrupted more often than not; peer-run responses slow-dripped.
@@ -89,7 +91,7 @@ func (c *chaosRun) run() error {
 	if err != nil {
 		return err
 	}
-	fleet, err := c.startFleet(3, filepath.Join(dir, "fleet"), fabric)
+	fleet, err := c.startFleet(3, filepath.Join(dir, "fleet"), fabric, hedgeAfter)
 	if err != nil {
 		return fmt.Errorf("starting chaos fleet: %w", err)
 	}
@@ -123,22 +125,24 @@ func (c *chaosRun) run() error {
 }
 
 // reference computes the solo truths on a one-member fleet without chaos,
-// keeping its state under dir.
-func (c *chaosRun) reference(dir string, sweep1, sweep2 map[string]any, ckptSpec server.JobSpec) (ref1, ref2 map[int]string, refCkpt string, err error) {
-	solo, err := c.startFleet(1, dir, nil)
+// keeping its state under dir. perPoint is the solo node's wall time per
+// sweep point, from the slower of its two sweeps.
+func (c *chaosRun) reference(dir string, sweep1, sweep2 map[string]any, ckptSpec server.JobSpec) (ref1, ref2 map[int]string, refCkpt string, perPoint time.Duration, err error) {
+	solo, err := c.startFleet(1, dir, nil, 0)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", 0, err
 	}
 	defer solo.Stop()
 	ref := solo[0]
 	for i, sw := range []map[string]any{sweep1, sweep2} {
 		res, rerr := runSweep(ref.URL+"/v1/cluster/sweep", sw)
 		if rerr != nil {
-			return nil, nil, "", fmt.Errorf("solo sweep %d: %w", i+1, rerr)
+			return nil, nil, "", 0, fmt.Errorf("solo sweep %d: %w", i+1, rerr)
 		}
 		if res.completed != c.points {
-			return nil, nil, "", fmt.Errorf("solo sweep %d completed %d/%d", i+1, res.completed, c.points)
+			return nil, nil, "", 0, fmt.Errorf("solo sweep %d completed %d/%d", i+1, res.completed, c.points)
 		}
+		perPoint = max(perPoint, res.elapsed/time.Duration(c.points))
 		if i == 0 {
 			ref1 = res.canon
 		} else {
@@ -146,16 +150,29 @@ func (c *chaosRun) reference(dir string, sweep1, sweep2 map[string]any, ckptSpec
 		}
 	}
 	if refCkpt, _, err = dispatchJob(ref.URL, ckptSpec); err != nil {
-		return nil, nil, "", fmt.Errorf("solo checkpoint job: %w", err)
+		return nil, nil, "", 0, fmt.Errorf("solo checkpoint job: %w", err)
 	}
-	return ref1, ref2, refCkpt, nil
+	return ref1, ref2, refCkpt, perPoint, nil
+}
+
+// chaosHedgeBudget is the chaos fleet's hedge budget, at least 150 ms: long
+// enough for a point's owner to answer before the coordinator hedges around
+// it, so that n3's corrupt answers arrive and get it quarantined. The fleet
+// takes a whole batch at once on the CPUs the solo node used, so an owner's
+// last answer can come as late as the solo node took for the batch, points
+// times its per-point time; drops, delays and the slow drip add to that,
+// hence the factor of two. A slow host (the race detector, a loaded
+// machine) raises the budget with the simulation instead of hedging every
+// point.
+func chaosHedgeBudget(perPoint time.Duration, points int) time.Duration {
+	return max(150*time.Millisecond, 2*time.Duration(points)*perPoint)
 }
 
 // startFleet boots an n-member fleet whose members keep durable state under
-// dir. With a fabric, each member's peer traffic crosses it on both sides of
-// the wire: the chaos transport on its requests, the middleware on its
-// handler.
-func (c *chaosRun) startFleet(n int, dir string, fabric *chaos.Network) (cluster.Fleet, error) {
+// dir, hedging after hedgeAfter. With a fabric, each member's peer traffic
+// crosses it on both sides of the wire: the chaos transport on its
+// requests, the middleware on its handler.
+func (c *chaosRun) startFleet(n int, dir string, fabric *chaos.Network, hedgeAfter time.Duration) (cluster.Fleet, error) {
 	return cluster.StartLoopback(n, func(_ int, id, addr string) cluster.MemberSetup {
 		ms := cluster.MemberSetup{
 			Options: server.Options{
@@ -166,7 +183,7 @@ func (c *chaosRun) startFleet(n int, dir string, fabric *chaos.Network) (cluster
 				StateDir:     filepath.Join(dir, id),
 			},
 			Config: cluster.Config{
-				HedgeAfter:      150 * time.Millisecond,
+				HedgeAfter:      hedgeAfter,
 				FillWait:        100 * time.Millisecond,
 				RequestTimeout:  10 * time.Second,
 				DispatchTimeout: 30 * time.Second,

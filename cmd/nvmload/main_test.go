@@ -20,13 +20,6 @@ func TestDashRun(t *testing.T) {
 
 // TestChaosRun runs the seeded chaos soak at `make chaos-smoke`'s sizes.
 func TestChaosRun(t *testing.T) {
-	if raceDetector {
-		// The quarantine check needs n3's corrupt answers to beat the 150 ms
-		// hedge budget; slowed by the race detector, a cold first sweep can
-		// hedge around n3 on nearly every point, and about one run in ten
-		// fails. make chaos-smoke runs the soak without the detector.
-		t.Skip("timing-dependent soak; not run under the race detector")
-	}
 	c := &chaosRun{seed: 1, points: 12, region: "64K", steps: 8000, workers: 2}
 	if err := c.run(); err != nil {
 		t.Fatal(err)
