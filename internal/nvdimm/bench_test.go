@@ -33,3 +33,31 @@ func BenchmarkDIMMReadMiss(b *testing.B) {
 		read()
 	}
 }
+
+// BenchmarkLSQAcceptPop times the LSQ's line index on the write path: the
+// default DIMM's 64-slot LSQ, combining at 256 B, takes sequential 64 B
+// lines up to its high water of 48, and PopGroup then drains it, 12
+// complete groups of four lines. One op is one fill and drain; the lines
+// move on each op, so every op indexes fresh keys. allocs/op must stay 0.
+func BenchmarkLSQAcceptPop(b *testing.B) {
+	cfg := DefaultConfig()
+	q := NewLSQ(cfg.LSQSlots, cfg.LSQCombineBlock)
+	line := uint64(0)
+	fillDrain := func() {
+		for i := 0; i < cfg.LSQHighWater; i++ {
+			if _, ok := q.Accept(line, sim.Cycle(i)); !ok {
+				b.Fatalf("line %#x refused below high water", line)
+			}
+			line += 64
+		}
+		for !q.Empty() {
+			q.PopGroup()
+		}
+	}
+	fillDrain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillDrain()
+	}
+}

@@ -39,7 +39,7 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 	if n > q.maxSlots {
 		return fmt.Errorf("%w: %d LSQ entries, capacity %d", ckpt.ErrCorrupt, n, q.maxSlots)
 	}
-	clear(q.slots)
+	q.slots.Clear()
 	q.order = q.order[:0]
 	q.live = n
 	q.haveRefused = false
@@ -49,10 +49,10 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if _, dup := q.slots[line]; dup {
+		if _, dup := q.slots.Get(line); dup {
 			return fmt.Errorf("%w: duplicate LSQ line %#x", ckpt.ErrCorrupt, line)
 		}
-		q.slots[line] = len(q.order)
+		q.slots.Set(line, int32(len(q.order)))
 		q.order = append(q.order, lsqSlot{line: line, enq: enq})
 	}
 	q.merges = dec.U64()

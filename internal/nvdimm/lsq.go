@@ -16,8 +16,8 @@ type lsqSlot struct {
 // operations — the write-combining behavior the paper attributes to the LSQ.
 // The iMC's write pending queue is an LSQ too.
 type LSQ struct {
-	slots    map[uint64]int // line -> index into order
-	order    []lsqSlot      // FIFO by enqueue; holes marked line==tombstone
+	slots    sim.KeyIndex // line -> index into order
+	order    []lsqSlot    // FIFO by enqueue; holes marked line==tombstone
 	live     int
 	maxSlots int
 	combine  uint64
@@ -25,7 +25,7 @@ type LSQ struct {
 	// refusedLine is the line the full queue last refused. A full queue
 	// only merges into lines it holds, and only PopGroup frees a slot, so
 	// the line stays refused until a pop; Accept answers a retry of it
-	// without probing the line map.
+	// without probing the line index.
 	refusedLine uint64
 	haveRefused bool
 
@@ -38,11 +38,9 @@ const lsqTombstone = ^uint64(0)
 // NewLSQ returns an LSQ with maxSlots 64B entries combining at combine-byte
 // blocks.
 func NewLSQ(maxSlots int, combine uint64) *LSQ {
-	return &LSQ{
-		slots:    make(map[uint64]int, maxSlots),
-		maxSlots: maxSlots,
-		combine:  combine,
-	}
+	q := &LSQ{maxSlots: maxSlots, combine: combine}
+	q.slots.Init(maxSlots)
+	return q
 }
 
 // Len returns the live entry count.
@@ -60,16 +58,16 @@ func (q *LSQ) Merges() uint64 { return q.merges }
 // Contains reports whether a store to the 64B line at addr is pending
 // (used for read forwarding — the data fast-forward effect LENS measures).
 func (q *LSQ) Contains(line uint64) bool {
-	_, ok := q.slots[line]
+	_, ok := q.slots.Get(line)
 	return ok
 }
 
 // ContainsBlock reports whether any pending store falls in the combine block
 // containing addr.
 func (q *LSQ) ContainsBlock(block uint64) bool {
-	// The slot map is keyed by 64B line; scan the lines of the block.
+	// The slot index is keyed by 64B line; scan the lines of the block.
 	for l := block; l < block+q.combine; l += 64 {
-		if _, ok := q.slots[l]; ok {
+		if _, ok := q.slots.Get(l); ok {
 			return true
 		}
 	}
@@ -83,7 +81,7 @@ func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
 	if q.haveRefused && line == q.refusedLine {
 		return false, false
 	}
-	if i, ok := q.slots[line]; ok {
+	if i, ok := q.slots.Get(line); ok {
 		q.order[i].enq = now
 		q.merges++
 		return true, true
@@ -92,7 +90,7 @@ func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
 		q.refusedLine, q.haveRefused = line, true
 		return false, false
 	}
-	q.slots[line] = len(q.order)
+	q.slots.Set(line, int32(len(q.order)))
 	q.order = append(q.order, lsqSlot{line: line, enq: now})
 	q.live++
 	q.accepts++
@@ -109,7 +107,7 @@ func (q *LSQ) compact() {
 	n := 0
 	for _, s := range q.order {
 		if s.line != lsqTombstone {
-			q.slots[s.line] = n
+			q.slots.Set(s.line, int32(n))
 			q.order[n] = s
 			n++
 		}
@@ -181,10 +179,9 @@ func (q *LSQ) PopGroup() (Group, bool) {
 	block := oldest.line - oldest.line%q.combine
 	g := Group{Block: block, Enq: oldest.enq}
 	for l := block; l < block+q.combine; l += 64 {
-		if i, ok := q.slots[l]; ok {
+		if i, ok := q.slots.Delete(l); ok {
 			g.Mask |= 1 << ((l - block) / 64)
 			q.order[i].line = lsqTombstone
-			delete(q.slots, l)
 			q.live--
 		}
 	}

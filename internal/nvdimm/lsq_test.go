@@ -1,9 +1,11 @@
 package nvdimm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 )
 
@@ -174,5 +176,46 @@ func TestLSQCompaction(t *testing.T) {
 	}
 	if len(q.order) > 4*q.maxSlots+16 {
 		t.Fatalf("order slice grew to %d entries", len(q.order))
+	}
+}
+
+// TestLSQLoadStateRoundTripAndDuplicate restores a saved LSQ, which must
+// answer Contains, merge and drain as the original does, and rejects a
+// snapshot that lists one line twice as ckpt.ErrCorrupt.
+func TestLSQLoadStateRoundTripAndDuplicate(t *testing.T) {
+	q := NewLSQ(8, 256)
+	for i, line := range []uint64{512, 0, 64, 576} {
+		q.Accept(line, sim.Cycle(i))
+	}
+	var enc ckpt.Enc
+	q.SaveState(&enc)
+	r := NewLSQ(8, 256)
+	r.Accept(4096, 9) // replaced by the restore
+	if err := r.LoadState(ckpt.NewDec(enc.Bytes())); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	if r.Len() != 4 || !r.Contains(64) || r.Contains(4096) {
+		t.Fatalf("restored LSQ holds %d lines, Contains(64)=%v Contains(4096)=%v; want 4, true, false",
+			r.Len(), r.Contains(64), r.Contains(4096))
+	}
+	if merged, ok := r.Accept(0, 7); !merged || !ok {
+		t.Fatalf("Accept of a restored line: merged=%v ok=%v, want a merge", merged, ok)
+	}
+	for _, want := range []Group{{Block: 512, Mask: 0b0011, Enq: 0}, {Block: 0, Mask: 0b0011, Enq: 7}} {
+		if g, ok := r.PopGroup(); !ok || g != want {
+			t.Fatalf("PopGroup = %+v,%v, want %+v", g, ok, want)
+		}
+	}
+
+	var dup ckpt.Enc
+	dup.U32(2)
+	for i := 0; i < 2; i++ {
+		dup.U64(128)
+		dup.U64(uint64(i))
+	}
+	dup.U64(0)
+	dup.U64(0)
+	if err := NewLSQ(8, 256).LoadState(ckpt.NewDec(dup.Bytes())); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("LoadState of a duplicated line: %v, want ckpt.ErrCorrupt", err)
 	}
 }

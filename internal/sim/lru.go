@@ -14,7 +14,7 @@ import (
 // capacity trackers.
 //
 // Keys live in a fixed slot array threaded onto an intrusive list, least
-// recently used at the head, with a map from key to slot. Every touch (a Get
+// recently used at the head, with a KeyIndex from key to slot. Every touch (a Get
 // that hits, any Put) stamps the key with a fresh, strictly increasing tick
 // and moves it to the tail, so the list is always in stamp order: the head
 // is exactly the key a scan for the minimum stamp would pick, found in O(1),
@@ -24,10 +24,10 @@ import (
 // Owners hold an LRU by value and set it up with Init. Like a FreeList, it
 // belongs to one simulation and is not safe for concurrent use.
 type LRU[V any] struct {
-	index map[uint64]int32 // key -> slot
-	slots []lruSlot[V]     // one per resident key, at most cap
-	head  int32            // least recently used slot (-1 when empty)
-	tail  int32            // most recently used slot (-1 when empty)
+	index KeyIndex     // key -> slot
+	slots []lruSlot[V] // one per resident key, at most cap
+	head  int32        // least recently used slot (-1 when empty)
+	tail  int32        // most recently used slot (-1 when empty)
 	cap   int
 	tick  uint64
 }
@@ -54,12 +54,12 @@ type LRUEntry[V any] struct {
 func (l *LRU[V]) Init(capacity int) {
 	capacity = max(capacity, 1)
 	*l = LRU[V]{
-		index: make(map[uint64]int32, capacity),
 		slots: make([]lruSlot[V], 0, capacity),
 		head:  -1,
 		tail:  -1,
 		cap:   capacity,
 	}
+	l.index.Init(capacity)
 }
 
 // Len returns the resident key count.
@@ -74,7 +74,7 @@ func (l *LRU[V]) Tick() uint64 { return l.tick }
 // Get returns key's value and, on a hit, touches key. A miss changes
 // nothing.
 func (l *LRU[V]) Get(key uint64) (V, bool) {
-	i, ok := l.index[key]
+	i, ok := l.index.Get(key)
 	if !ok {
 		var zero V
 		return zero, false
@@ -86,7 +86,7 @@ func (l *LRU[V]) Get(key uint64) (V, bool) {
 // Peek returns a pointer to key's value without touching it, or nil when key
 // is absent. The pointer is valid until the next Put, Reset or Restore.
 func (l *LRU[V]) Peek(key uint64) *V {
-	if i, ok := l.index[key]; ok {
+	if i, ok := l.index.Get(key); ok {
 		return &l.slots[i].val
 	}
 	return nil
@@ -94,14 +94,14 @@ func (l *LRU[V]) Peek(key uint64) *V {
 
 // Contains reports whether key is resident, without touching it.
 func (l *LRU[V]) Contains(key uint64) bool {
-	_, ok := l.index[key]
+	_, ok := l.index.Get(key)
 	return ok
 }
 
 // Put sets key's value and touches key. A new key in a full LRU evicts the
 // least recently used one, which Put returns with its value.
 func (l *LRU[V]) Put(key uint64, val V) (victim uint64, victimVal V, evicted bool) {
-	if i, ok := l.index[key]; ok {
+	if i, ok := l.index.Get(key); ok {
 		l.slots[i].val = val
 		l.touch(i)
 		return victim, victimVal, false
@@ -114,19 +114,19 @@ func (l *LRU[V]) Put(key uint64, val V) (victim uint64, victimVal V, evicted boo
 		i = l.head
 		v := &l.slots[i]
 		victim, victimVal, evicted = v.key, v.val, true
-		delete(l.index, v.key)
+		l.index.Delete(v.key)
 		l.unlink(i)
 	}
 	l.tick++
 	l.slots[i] = lruSlot[V]{key: key, val: val, lastUse: l.tick}
-	l.index[key] = i
+	l.index.Set(key, i)
 	l.pushMRU(i)
 	return victim, victimVal, evicted
 }
 
 // Reset empties l and zeroes its tick, keeping its storage.
 func (l *LRU[V]) Reset() {
-	clear(l.index)
+	l.index.Clear()
 	l.slots = l.slots[:0]
 	l.head, l.tail = -1, -1
 	l.tick = 0
@@ -154,7 +154,7 @@ func (l *LRU[V]) Restore(entries []LRUEntry[V], tick uint64) error {
 	}
 	slices.SortFunc(entries, func(a, b LRUEntry[V]) int { return cmp.Compare(a.LastUse, b.LastUse) })
 	for n, e := range entries {
-		if _, dup := l.index[e.Key]; dup {
+		if _, dup := l.index.Get(e.Key); dup {
 			l.Reset()
 			return fmt.Errorf("%w: duplicate LRU key %#x", ckpt.ErrCorrupt, e.Key)
 		}
@@ -164,7 +164,7 @@ func (l *LRU[V]) Restore(entries []LRUEntry[V], tick uint64) error {
 		}
 		i := int32(n)
 		l.slots = append(l.slots, lruSlot[V]{key: e.Key, val: e.Val, lastUse: e.LastUse})
-		l.index[e.Key] = i
+		l.index.Set(e.Key, i)
 		l.pushMRU(i)
 	}
 	l.tick = tick
