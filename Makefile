@@ -9,7 +9,7 @@ GO ?= go
 # submission through the HTTP handler).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/mem/ ./internal/imc/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/ ./internal/server/
 
-.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
+.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure event-counts trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
@@ -137,6 +137,14 @@ profile-figure:
 			got[layer] += share } \
 		END { printf "CPU samples by leaf package (Benchmark$(FIG), %s sampled):\n", total; \
 			for (i = 1; i <= n; i++) printf "  %-8s %5.1f%%\n", order[i], got[order[i]] }'
+
+# event-counts prints the events the engine fires per handler and the ticks
+# it passes per parked poll, with counts per access, for one store-write job
+# (4 MB store-nt, wear 50, a barrier every 4,096 stores) and one 64 MB chase
+# job. The counters exist only under the simcount build tag: the default
+# build compiles none of them.
+event-counts:
+	$(GO) test -tags simcount -run '^TestEventCounts$$' -count 1 -v ./internal/vans/
 
 # fuzz-smoke runs each fuzz target briefly off the checked-in seed corpus —
 # enough to catch parser/validator regressions without stalling the gate.

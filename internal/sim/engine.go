@@ -82,6 +82,9 @@ type Engine struct {
 	fired uint64
 	peak  int // high-water mark of Pending(), updated on every schedule
 
+	// counts is empty unless built with the simcount tag (count.go).
+	counts engineCounts
+
 	// nodes is the slab the ring's entries live in, linked by index; free
 	// is one plus the first free node's index (0: none free).
 	nodes []node
@@ -213,25 +216,19 @@ func (e *Engine) head() (*event, int) {
 // returns, as the re-arming callbacks they stand for would fire forever.
 //
 // The queue head is looked up once per call: passing a tick pushes and
-// pops nothing, and the clock it moves stays at or before the head.
+// pops nothing, and the clock it moves stays at or before the head. The
+// parked ticks before the stop pass in one loop (passParked).
 func (e *Engine) StepUntil(limit Cycle) bool {
 	ev, b := e.head()
-	for len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
-		p := e.earliestParked()
-		if ev != nil && !p.before(ev) {
-			break
-		}
-		if p.at > limit {
-			return false
-		}
-		if p.at >= p.due {
+	if len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
+		if p := e.passParked(ev, limit); p != nil {
 			e.unpark(p)
 			e.now = p.at
 			e.fired++
+			e.counts.fire(p.fn, p.arg)
 			p.fn(p.arg)
 			return true
 		}
-		e.pass(p)
 	}
 	if ev == nil || ev.at > limit {
 		return false
@@ -245,6 +242,7 @@ func (e *Engine) StepUntil(limit Cycle) bool {
 		fn, arg = e.heapPop()
 	}
 	e.fired++
+	e.counts.fire(fn, arg)
 	fn(arg)
 	return true
 }

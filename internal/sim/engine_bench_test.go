@@ -78,6 +78,36 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkParkedPass is store-write's engine shape: the DIMM's LSQ drain,
+// a one-period poll of 16 cycles, and the iMC's refused-line retry, a
+// two-phase poll of (13, 40), stay parked while one real event fires every
+// 60 cycles. Each op is one Step: the event and the 6.0 ticks (3.75 of the
+// drain, 2.26 of the retry) passed before it, store-write's ratio of
+// passed ticks to events. allocs/op must stay 0.
+func BenchmarkParkedPass(b *testing.B) {
+	e := NewEngine()
+	var drain, retry Poll
+	noop := func(any) {}
+	drain.Init(e, 16, noop, nil)
+	retry.InitTwoPhase(e, 13, 40, noop, nil)
+	drain.Park(16, Never)
+	retry.Park(40, Never)
+	e.AfterFn(60, benchEvent, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.seq-uint64(b.N))/float64(b.N), "ticks/op")
+}
+
+// benchEvent re-arms itself every 60 cycles.
+func benchEvent(a any) {
+	e := a.(*Engine)
+	e.AfterFn(60, benchEvent, e)
+}
+
 // TestRunUntilAllocFree pins the RunUntil fast path to zero allocations once
 // capacities are warm, matching the Run guard below.
 func TestRunUntilAllocFree(t *testing.T) {

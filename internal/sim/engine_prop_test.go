@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -163,43 +164,59 @@ func TestEnginePropertyVsOracle(t *testing.T) {
 			scale = 512
 		}
 		for _, twoPhase := range []bool{false, true} {
-			checkPollScenario(t, trial, scale, twoPhase)
+			checkPollScenario(t, fmt.Sprintf("trial %d (two-phase %v)", trial, twoPhase), func(form pollForm) pollRun {
+				return pollScenario(t, int64(trial), form, scale, twoPhase)
+			})
 		}
 	}
 }
 
-// checkPollScenario runs pollScenario in its three forms and compares the
-// re-arming and parked engine runs with the oracle.
-func checkPollScenario(t *testing.T, trial int, scale Cycle, twoPhase bool) {
+// checkPollScenario runs a poll scenario in its three forms and compares the
+// re-arming and parked engine runs with the oracle, and the parked run's
+// peak pending count with the re-arming run's.
+func checkPollScenario(t *testing.T, name string, scenario func(pollForm) pollRun) {
 	t.Helper()
-	ref, refCut := pollScenario(t, int64(trial), pollOracle, scale, twoPhase)
+	ref := scenario(pollOracle)
+	var rearm pollRun
 	for _, form := range []pollForm{pollRearm, pollParked} {
-		run, cut := pollScenario(t, int64(trial), form, scale, twoPhase)
+		run := scenario(form)
 		if len(run.firings) != len(ref.firings) {
-			t.Fatalf("trial %d (two-phase %v): %s run fired %d real events, oracle %d",
-				trial, twoPhase, form, len(run.firings), len(ref.firings))
+			t.Fatalf("%s: %s run fired %d real events, oracle %d",
+				name, form, len(run.firings), len(ref.firings))
 		}
 		for i := range run.firings {
 			if run.firings[i] != ref.firings[i] {
-				t.Fatalf("trial %d (two-phase %v): real firing %d: %s %+v, oracle %+v",
-					trial, twoPhase, i, form, run.firings[i], ref.firings[i])
+				t.Fatalf("%s: real firing %d: %s %+v, oracle %+v",
+					name, i, form, run.firings[i], ref.firings[i])
 			}
 		}
-		if cut != refCut {
-			t.Fatalf("trial %d (two-phase %v): at the cut %s (now, seq) = %+v, oracle %+v",
-				trial, twoPhase, form, cut, refCut)
+		if len(run.cuts) != len(ref.cuts) {
+			t.Fatalf("%s: %s run made %d cuts, oracle %d", name, form, len(run.cuts), len(ref.cuts))
+		}
+		for i := range run.cuts {
+			if run.cuts[i] != ref.cuts[i] {
+				t.Fatalf("%s: at cut %d %s (now, seq) = %+v, oracle %+v",
+					name, i, form, run.cuts[i], ref.cuts[i])
+			}
 		}
 		if run.now != ref.now || run.seq != ref.seq {
-			t.Fatalf("trial %d (two-phase %v): %s run ended at (now %d, seq %d), oracle at (%d, %d)",
-				trial, twoPhase, form, run.now, run.seq, ref.now, ref.seq)
+			t.Fatalf("%s: %s run ended at (now %d, seq %d), oracle at (%d, %d)",
+				name, form, run.now, run.seq, ref.now, ref.seq)
 		}
-		if form == pollRearm && run.fired != ref.fired {
-			t.Fatalf("trial %d (two-phase %v): re-arming run fired %d events, oracle %d",
-				trial, twoPhase, run.fired, ref.fired)
-		}
-		if form == pollParked && ref.passes > 0 && run.fired >= ref.fired {
-			t.Fatalf("trial %d (two-phase %v): parked run fired %d events, re-arming run %d: no tick was passed",
-				trial, twoPhase, run.fired, ref.fired)
+		switch form {
+		case pollRearm:
+			if run.fired != ref.fired {
+				t.Fatalf("%s: re-arming run fired %d events, oracle %d", name, run.fired, ref.fired)
+			}
+			rearm = run
+		case pollParked:
+			if ref.passes > 0 && run.fired >= ref.fired {
+				t.Fatalf("%s: parked run fired %d events, re-arming run %d: no tick was passed",
+					name, run.fired, ref.fired)
+			}
+			if run.peak != rearm.peak {
+				t.Fatalf("%s: parked run's PeakPending %d, re-arming run's %d", name, run.peak, rearm.peak)
+			}
 		}
 	}
 }
@@ -299,13 +316,27 @@ func eventScenario(t *testing.T, trial, shape int, s scheduler) []firing {
 	return got
 }
 
-// pollRun is what pollScenario observed.
+// pollRun is what a poll scenario observed.
 type pollRun struct {
 	firings []firing // real work: ordinary events and polls that acted
+	cuts    []clock  // the clock after each StepUntil cut
 	now     Cycle
 	seq     uint64
 	fired   uint64
+	peak    int // PeakPending (engine forms only)
 	passes  int // ticks the re-arming form would have fired with nothing to do
+}
+
+// finish records s's final clock, its fired count and, on an engine, its
+// peak pending count.
+func (run *pollRun) finish(s scheduler) {
+	c := clockOf(s)
+	run.now, run.seq = c.now, c.seq
+	if e, ok := s.(*Engine); ok {
+		run.fired, run.peak = e.Fired(), e.PeakPending()
+	} else {
+		run.fired = s.(*oracle).fired
+	}
 }
 
 // clock is an engine's (Now, seq) pair.
@@ -355,7 +386,7 @@ func (f pollForm) String() string {
 // with StepUntil the way mem.Driver.RunWindowUntil does, and finishes
 // with Run. Before each of the pump's steps on an engine, NextAt must name
 // the cycle that step fires at.
-func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase bool) (pollRun, clock) {
+func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase bool) pollRun {
 	rng := rand.New(rand.NewSource(seed*7919 + 3))
 	in := func(n int) Cycle { return Cycle(rng.Intn(n * int(scale))) }
 	var e *Engine
@@ -535,22 +566,221 @@ func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase
 
 	// A power-fail cut: fire every real event at or before the cut, passing
 	// the parked ticks up to it.
-	var cut clock
 	if seed%2 == 0 {
 		limit := s.Now() + in(50)
 		for s.StepUntil(limit) {
 		}
-		cut = clockOf(s)
+		run.cuts = append(run.cuts, clockOf(s))
 	}
 	s.Run()
-	c := clockOf(s)
-	run.now, run.seq = c.now, c.seq
-	if e != nil {
-		run.fired = e.Fired()
-	} else {
-		run.fired = s.(*oracle).fired
+	run.finish(s)
+	return run
+}
+
+// TestStoreShapedPollsVsOracle runs storeShapeScenario in its three forms,
+// as TestEnginePropertyVsOracle runs pollScenario, and checks that the
+// trials between them put ticks of both polls on one cycle, land due cycles
+// and StepUntil cuts inside runs of passed ticks, and pass hundreds of
+// ticks in one parking.
+func TestStoreShapedPollsVsOracle(t *testing.T) {
+	var cov shapeCoverage
+	for trial := 0; trial < 40; trial++ {
+		checkPollScenario(t, fmt.Sprintf("store-shaped trial %d", trial), func(form pollForm) pollRun {
+			var c *shapeCoverage
+			if form == pollOracle {
+				c = &cov
+			}
+			return storeShapeScenario(t, int64(trial), form, c)
+		})
 	}
-	return run, cut
+	t.Logf("coverage %+v", cov)
+	if cov.sameCycle == 0 || cov.dueInRun == 0 || cov.cutInRun == 0 || cov.longestRun < 200 {
+		t.Fatalf("coverage %+v: want ticks of both polls on one cycle, due cycles and cuts inside runs of passed ticks, and a run of 200 or more", cov)
+	}
+}
+
+// shapeCoverage is what storeShapeScenario's re-arming oracle run saw.
+type shapeCoverage struct {
+	sameCycle  int // no-op ticks on the cycle of the other poll's no-op tick just before
+	dueInRun   int // polls that acted on their due cycle after passing ticks
+	cutInRun   int // StepUntil cuts whose last event was a no-op tick
+	longestRun int // most no-op ticks of one poll between two of its acts
+}
+
+// storeShapeScenario is store-write's shape in small: the DIMM's LSQ drain,
+// a one-period poll of 16 cycles, and the iMC's refused-line retry, a
+// two-phase poll of (13, 40), stay parked for hundreds of ticks between
+// sparse real events, 20 to 420 cycles apart. Every few hundred cycles
+// both polls tick on one cycle. A poll acts when an event hands it work or
+// when its due cycle, drawn up to 3,000 cycles ahead, comes inside a run of
+// passed ticks; a poll with no due cycle gets its work from an event
+// scheduled when it parked. Events also move the drain's due cycle either
+// way, waking it when it moves earlier; the retry, whose woken tick must
+// act, is woken only with work. The run drains to a RunUntil deadline,
+// then pumps Step (checking NextAt before each step) to a count of real
+// firings and cuts with StepUntil at a cycle up to 600 past the pump's
+// stop, three times, and finishes with Run. Everything random is drawn
+// where real work happens or between pumps, so every form draws the same
+// numbers while it fires the same real events.
+func storeShapeScenario(t *testing.T, seed int64, form pollForm, cov *shapeCoverage) pollRun {
+	rng := rand.New(rand.NewSource(seed*104729 + 5))
+	var e *Engine
+	var s scheduler = &oracle{}
+	if form != pollOracle {
+		e = NewEngine()
+		s = e
+	}
+	parked := form == pollParked
+	var run pollRun
+	if cov == nil {
+		cov = &shapeCoverage{} // seen only by the caller's oracle run
+	}
+
+	type pollState struct {
+		id       int
+		period   [2]Cycle
+		twoPhase bool
+		work     bool
+		due      Cycle
+		acts     int
+		ticks    int // no-op ticks since the poll last acted (re-arming forms)
+		poll     Poll
+	}
+	drain := &pollState{id: 0, period: [2]Cycle{16, 16}, due: Cycle(rng.Intn(3000))}
+	retry := &pollState{id: 1, period: [2]Cycle{13, 40}, twoPhase: true, due: Never}
+	nextID := 0
+	lastTick, lastPoll, lastWasTick := Never, -1, false
+	var tick func(any)
+	rearm := func(p *pollState, delay Cycle) {
+		if !parked {
+			s.AfterFn(delay, tick, p)
+			return
+		}
+		due := p.due
+		if p.work {
+			due = 0
+		}
+		p.poll.Park(delay, due)
+	}
+	handWork := func(p *pollState) {
+		p.work = true
+		if parked {
+			p.poll.Wake()
+		}
+	}
+	log := func(id int) {
+		run.firings = append(run.firings, firing{s.Now(), id})
+		lastWasTick = false
+	}
+	leaf := func() {
+		nextID++
+		log(nextID)
+	}
+	workFor := func(p *pollState) func() {
+		return func() {
+			log(-1 - p.id)
+			handWork(p)
+		}
+	}
+	events := 0
+	var event func()
+	event = func() {
+		nextID++
+		log(nextID)
+		switch rng.Intn(6) {
+		case 0:
+			handWork(drain)
+		case 1:
+			handWork(retry)
+		case 2:
+			due := s.Now() + Cycle(rng.Intn(3000))
+			if due < drain.due && parked {
+				drain.poll.Wake() // the tick re-parks with the new due cycle
+			}
+			drain.due = due
+		}
+		if events++; events < 40 {
+			s.After(Cycle(20+rng.Intn(400)), event)
+		}
+	}
+	tick = func(a any) {
+		p := a.(*pollState)
+		k := p.ticks
+		if parked {
+			k = p.poll.Passed()
+		}
+		if !p.work && s.Now() < p.due {
+			if !parked {
+				run.passes++
+				if s.Now() == lastTick && lastPoll != p.id {
+					cov.sameCycle++
+				}
+				lastTick, lastPoll, lastWasTick = s.Now(), p.id, true
+			}
+			p.ticks++
+			rearm(p, p.period[k&1])
+			return
+		}
+		id := 1000 + p.id
+		if p.twoPhase {
+			id += 100 * (k & 1)
+		}
+		if !p.work && k > 0 {
+			cov.dueInRun++
+		}
+		cov.longestRun = max(cov.longestRun, k)
+		log(id)
+		p.work = false
+		p.acts++
+		p.ticks = 0
+		if rng.Intn(2) == 0 {
+			s.After(Cycle(rng.Intn(int(p.period[1]))), leaf)
+		}
+		if p.acts >= 6 {
+			return // stopped for good
+		}
+		if rng.Intn(3) == 0 {
+			p.due = Never
+			s.After(Cycle(100+rng.Intn(3000)), workFor(p))
+		} else {
+			p.due = s.Now() + Cycle(rng.Intn(3000))
+		}
+		rearm(p, p.period[1])
+	}
+	if parked {
+		drain.poll.Init(e, drain.period[0], tick, drain)
+		retry.poll.InitTwoPhase(e, retry.period[0], retry.period[1], tick, retry)
+	}
+	rearm(drain, 16)
+	rearm(retry, 40)
+	s.After(Cycle(100+rng.Intn(3000)), workFor(retry))
+	s.Schedule(Cycle(rng.Intn(100)), event)
+
+	s.RunUntil(Cycle(200 + rng.Intn(2000)))
+	for cuts := 0; cuts < 3; cuts++ {
+		for target := len(run.firings) + 3 + rng.Intn(10); len(run.firings) < target; {
+			at, ok := Cycle(0), false
+			if e != nil {
+				at, ok = e.NextAt()
+			}
+			if !s.Step() {
+				break
+			}
+			if e != nil && (!ok || e.Now() != at) {
+				t.Fatalf("seed %d: %s form: NextAt said %d,%v, the step fired at %d", seed, form, at, ok, e.Now())
+			}
+		}
+		limit := s.Now() + Cycle(rng.Intn(600))
+		for s.StepUntil(limit) {
+		}
+		if lastWasTick {
+			cov.cutInRun++
+		}
+		run.cuts = append(run.cuts, clockOf(s))
+	}
+	s.Run()
+	run.finish(s)
+	return run
 }
 
 // TestWakeReusesTheParkedSlot pins why a wake must not schedule a fresh

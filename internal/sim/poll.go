@@ -129,18 +129,32 @@ func (e *Engine) earliestParked() *Poll {
 	return m
 }
 
-// pass moves p past its current tick as the re-arming callback's no-op
-// firing would: the clock reaches the tick, one sequence number goes to the
-// next tick, which lies the tick's period along, and the peak-pending mark
-// sees the re-arm.
-func (e *Engine) pass(p *Poll) {
-	e.now = p.at
-	e.seq++
-	p.seq = e.seq
-	p.at += p.period[p.passed&1]
-	p.passed++
-	e.notePeak()
+// passParked passes, in one loop, every parked tick that precedes the stop:
+// the queue head ev (nil when none), the first tick past limit, or the
+// first due tick, which it returns for the caller to fire. It returns nil
+// when it stops at ev or past limit. Each pass does what the re-arming
+// callback's no-op firing did: the clock reaches the tick, one sequence
+// number goes to the next tick, which lies the tick's period along. A pass
+// leaves Pending as it was (the re-arm's push followed its own pop), so it
+// cannot raise the peak, and parkAt is recomputed once, at the stop.
+func (e *Engine) passParked(ev *event, limit Cycle) *Poll {
+	for {
+		p := e.earliestParked()
+		if ev != nil && !p.before(ev) || p.at > limit {
+			break
+		}
+		if p.at >= p.due {
+			return p
+		}
+		e.now = p.at
+		e.seq++
+		p.seq = e.seq
+		p.at += p.period[p.passed&1]
+		p.passed++
+		e.counts.pass(p)
+	}
 	e.setParkAt()
+	return nil
 }
 
 // unpark removes p from the parked set.
