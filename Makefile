@@ -9,15 +9,15 @@ GO ?= go
 # submission through the HTTP handler).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/mem/ ./internal/imc/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/ ./internal/server/
 
-.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure event-counts trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
+.PHONY: ci build vet test test-builds race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure event-counts trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
-# crash-consistency property test), a short fuzz smoke per target, a
-# single-iteration bench smoke, a trace-export smoke, a checkpoint/restore
-# smoke, a 3-node cluster smoke, a seeded chaos soak, a fleet-dashboard
-# smoke, and a gofmt check.
-ci: vet build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+# crash-consistency property test), the tests of the builds ./... does not
+# reach, a short fuzz smoke per target, a single-iteration bench smoke, a
+# trace-export smoke, a checkpoint/restore smoke, a 3-node cluster smoke, a
+# seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
+ci: vet build race test-builds fuzz-smoke bench-smoke trace-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:
@@ -164,11 +164,22 @@ fuzz:
 build:
 	$(GO) build ./...
 
+# vet covers every build the repo ships: the default one, the simcount
+# event counters (compiled only under that tag), and the perfbench module,
+# which lies outside the root module's ./...
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags simcount ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
+
+# test-builds runs the tests that only the other builds compile: the engine
+# and VANS under the simcount tag, and the perfbench module's own.
+test-builds:
+	$(GO) test -tags simcount ./internal/sim/ ./internal/vans/
+	cd perfbench && $(GO) test ./...
 
 # race runs every package and every test under the race detector. The
 # figure suite in internal/exp is the long pole: about 10 minutes on a 2-vCPU

@@ -358,9 +358,10 @@ func (d *demoRun) run() error {
 
 // ckptSpecOwnedBy scans seeds for a long checkpointing chase job whose
 // canonical hash is owned by the wanted member of the standard n1/n2/n3 ring
-// (the demo fleet runs default vnodes, so the client-side ring matches).
+// (every ring places the same virtual points, so the client-side ring
+// matches).
 func ckptSpecOwnedBy(owner string) (server.JobSpec, error) {
-	ring, err := cluster.NewRing([]string{"n1", "n2", "n3"}, 0)
+	ring, err := cluster.NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		return server.JobSpec{}, err
 	}

@@ -1,12 +1,12 @@
 // Command tracegen captures the post-cache memory trace of a workload
-// running on the CPU substrate, writing it in the text or binary trace
-// format for later replay with cmd/vans (the paper's LENS-capture ->
+// running on the CPU substrate, writing it in the text trace format for
+// later replay with `vans -replay` (the paper's LENS-capture ->
 // VANS-trace-mode flow).
 //
 // Usage:
 //
 //	tracegen -workload Redis -instructions 50000 > redis.trace
-//	tracegen -workload mcf -binary -out mcf.vtr
+//	tracegen -workload mcf -out mcf.trace
 package main
 
 import (
@@ -27,7 +27,6 @@ func main() {
 		instructions = flag.Int("instructions", 50000, "instructions to execute")
 		seed         = flag.Uint64("seed", 1, "generator seed")
 		footprintStr = flag.String("footprint", "16M", "working set size (accepts K/M/G suffixes)")
-		binary       = flag.Bool("binary", false, "write the compact binary format")
 		out          = flag.String("out", "", "output path (default stdout)")
 	)
 	flag.Parse()
@@ -72,23 +71,16 @@ func main() {
 		dst = f
 	}
 
-	if *binary {
-		if err := trace.WriteBinary(dst, col.Records); err != nil {
+	tw := trace.NewWriter(dst)
+	for _, rec := range col.Records {
+		if err := tw.Write(rec); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	} else {
-		tw := trace.NewWriter(dst)
-		for _, rec := range col.Records {
-			if err := tw.Write(rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if err := tw.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	}
+	if err := tw.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "captured %d memory accesses from %d instructions (IPC %.2f)\n",
 		len(col.Records), st.Instructions, st.IPC(2.2))

@@ -108,7 +108,7 @@ func (p *PMEP) finish(a any) {
 	a.(*mem.Request).Complete(p.eng.Now())
 }
 
-// SimKind selects a slower-DRAM simulator flavor for SlowDRAM.
+// SimKind selects a slower-DRAM simulator flavor for NewSlowDRAM.
 type SimKind uint8
 
 const (
@@ -156,52 +156,12 @@ func (k SimKind) Timing() dram.Timing {
 	}
 }
 
-// SlowDRAM is a conventional DRAM-architecture simulator with substituted
-// timing; it implements mem.System. Stores are posted through a small write
-// queue (conventional memory-controller behavior), so its store latency has
-// none of the Optane structure.
-type SlowDRAM struct {
-	kind SimKind
-	ctrl *dram.Controller
-	eng  *sim.Engine
-
-	wq       int
-	wqMax    int
-	inflight int
-
-	// Completions bound once by NewSlowDRAM, so an access allocates no
-	// closure: readDone and posted complete the *mem.Request passed as
-	// their arg, written retires a drained write, fencePoll completes the
-	// fence passed as its arg once the system drains. retries recycles the
-	// writes a full controller queue turned away.
-	readDone  func(any)
-	posted    func(any)
-	written   func(any)
-	fencePoll func(any)
-	retries   sim.FreeList[slowRetry]
-}
-
-// slowRetry is a posted write waiting for room in the controller queue.
-type slowRetry struct {
-	s    *SlowDRAM
-	addr uint64
-}
-
-// slowPushWrite offers a waiting write to the controller again, every 16
-// cycles until it takes it.
-func slowPushWrite(a any) {
-	w := a.(*slowRetry)
-	s := w.s
-	if !s.ctrl.Schedule(w.addr, true, s.written, nil) {
-		s.eng.AfterFn(16, slowPushWrite, w)
-		return
-	}
-	s.retries.Put(w)
-}
-
-// NewSlowDRAM builds the flavor with a fresh engine.
-func NewSlowDRAM(kind SimKind) *SlowDRAM {
-	eng := sim.NewEngine()
+// NewSlowDRAM builds the flavor: a conventional DRAM-architecture simulator
+// with substituted timing, on a fresh engine. It is a one-channel
+// dram.MultiChannel whose stores are posted through a 16-entry write queue
+// and complete to their issuer after 25 ns (conventional memory-controller
+// behavior), so its store latency has none of the Optane structure.
+func NewSlowDRAM(kind SimKind) *dram.MultiChannel {
 	cfg := dram.DefaultConfig()
 	cfg.Timing = kind.Timing()
 	cfg.Policy = dram.FRFCFS
@@ -209,66 +169,6 @@ func NewSlowDRAM(kind SimKind) *SlowDRAM {
 	// The PCM model keeps no row buffer open (closed-page), giving the flat
 	// latency curve of Figure 3b.
 	cfg.ClosedPage = kind == RamulatorPCM
-	s := &SlowDRAM{kind: kind, ctrl: dram.NewController(eng, cfg), eng: eng, wqMax: 16}
-	s.readDone = func(a any) {
-		s.inflight--
-		a.(*mem.Request).Complete(eng.Now())
-	}
-	s.posted = func(a any) { a.(*mem.Request).Complete(eng.Now()) }
-	s.written = func(any) { s.wq-- }
-	s.fencePoll = func(a any) {
-		if s.wq != 0 || !s.ctrl.Drained() {
-			eng.AfterFn(16, s.fencePoll, a)
-			return
-		}
-		a.(*mem.Request).Complete(eng.Now())
-	}
-	return s
-}
-
-// Kind returns the simulator flavor.
-func (s *SlowDRAM) Kind() SimKind { return s.kind }
-
-// Engine implements mem.System.
-func (s *SlowDRAM) Engine() *sim.Engine { return s.eng }
-
-// CyclesPerNano implements mem.System.
-func (s *SlowDRAM) CyclesPerNano() float64 { return dram.CyclesPerNano }
-
-// Drained implements mem.System.
-func (s *SlowDRAM) Drained() bool { return s.inflight == 0 && s.wq == 0 && s.ctrl.Drained() }
-
-// Submit implements mem.System.
-func (s *SlowDRAM) Submit(r *mem.Request) bool {
-	now := s.eng.Now()
-	switch r.Op {
-	case mem.OpRead:
-		if !s.ctrl.Schedule(r.Addr, false, s.readDone, r) {
-			return false
-		}
-		s.inflight++
-		r.Issued = now
-		return true
-	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
-		if s.wq >= s.wqMax {
-			return false
-		}
-		s.wq++
-		r.Issued = now
-		// Posted: complete quickly; drain through the controller behind
-		// the scenes.
-		s.eng.AfterFn(dram.NsToCycles(25), s.posted, r)
-		if !s.ctrl.Schedule(r.Addr, true, s.written, nil) {
-			w := s.retries.Get()
-			*w = slowRetry{s: s, addr: r.Addr}
-			s.eng.AfterFn(16, slowPushWrite, w)
-		}
-		return true
-	case mem.OpFence:
-		r.Issued = now
-		s.eng.AfterFn(1, s.fencePoll, r)
-		return true
-	default:
-		return false
-	}
+	return dram.NewMultiChannel(dram.MultiChannelConfig{
+		Channels: 1, Channel: cfg, WriteQueue: 16, PostedNs: 25})
 }

@@ -70,11 +70,7 @@ func TestPMEPFence(t *testing.T) {
 
 func TestSlowDRAMKinds(t *testing.T) {
 	for _, k := range []SimKind{DRAMSim2DDR3, RamulatorDDR4, RamulatorPCM} {
-		s := NewSlowDRAM(k)
-		if s.Kind() != k {
-			t.Fatalf("kind mismatch")
-		}
-		lat := chaseNs(t, s, 64<<10)
+		lat := chaseNs(t, NewSlowDRAM(k), 64<<10)
 		if lat <= 0 {
 			t.Fatalf("%v: zero latency", k)
 		}

@@ -150,7 +150,7 @@ func (n *Node) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	outs := make([]chan pointOut, len(specs))
-	sem := make(chan struct{}, n.cfg.SweepParallel)
+	sem := make(chan struct{}, n.sweepParallel)
 	for i := range specs {
 		outs[i] = make(chan pointOut, 1)
 		go func(i int) {

@@ -51,16 +51,11 @@ type Config struct {
 	// Peers is the full fixed membership, self included (self's URL may be
 	// empty; it is never dialed).
 	Peers []Peer
-	// VNodes is the virtual-node count per member (default 64).
-	VNodes int
 	// HedgeAfter, when positive, is a fixed straggler budget: a dispatched
 	// job still unanswered after this long is hedged to the next replica.
-	// Zero selects the adaptive policy: 1.5x the HedgePercentile of recent
-	// remote latencies, clamped to [HedgeMin, HedgeMax].
-	HedgeAfter      time.Duration
-	HedgePercentile float64       // default 0.95
-	HedgeMin        time.Duration // default 25ms
-	HedgeMax        time.Duration // default 2s
+	// Zero selects the adaptive policy: 1.5x the hedgePercentile of recent
+	// remote latencies, clamped to [hedgeMin, hedgeMax].
+	HedgeAfter time.Duration
 	// FillWait is how long a peer fill lets the owner hold the request for an
 	// in-flight computation of the same hash (default 250ms).
 	FillWait time.Duration
@@ -84,38 +79,27 @@ type Config struct {
 	// hash, bad snapshot envelope) exile a peer from all routing for the rest
 	// of the process lifetime (default 3; negative disables quarantine).
 	QuarantineThreshold int
-	// ProbeTimeout bounds one health probe (default 1s) so a hung peer does
-	// not stall the probe loop for the full request budget.
-	ProbeTimeout time.Duration
 	// ProbeEvery, when positive, has Start run a background loop probing
 	// every peer's /v1/healthz, surfacing probe latency in /v1/cluster/info.
 	ProbeEvery time.Duration
 	// AntiEntropyEvery, when positive, has Start run a background repair
 	// loop re-replicating local checkpoints whose ring replica lacks a copy.
 	AntiEntropyEvery time.Duration
-	// SweepParallel bounds concurrently in-flight points of one cluster
-	// sweep (default 2 x local workers x member count: enough to saturate
-	// the fleet's pools with headroom for cache hits).
-	SweepParallel int
 	// Transport overrides the peer HTTP transport. The chaos fabric injects
 	// its fault-injecting RoundTripper here; nil uses the standard pooled
 	// transport.
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults(workers, members int) Config {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.95
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 25 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
+// The adaptive hedge policy's constants: the percentile of recent remote
+// latencies it scales, and the bounds its budget is clamped to.
+const (
+	hedgePercentile = 0.95
+	hedgeMin        = 25 * time.Millisecond
+	hedgeMax        = 2 * time.Second
+)
+
+func (c Config) withDefaults(members int) Config {
 	if c.FillWait <= 0 {
 		c.FillWait = 250 * time.Millisecond
 	}
@@ -136,12 +120,6 @@ func (c Config) withDefaults(workers, members int) Config {
 	}
 	if c.QuarantineThreshold == 0 {
 		c.QuarantineThreshold = 3
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.SweepParallel <= 0 {
-		c.SweepParallel = 2 * workers * members
 	}
 	return c
 }
@@ -180,6 +158,11 @@ type Node struct {
 	lat    *latWindow
 	m      clusterMetrics
 
+	// sweepParallel bounds concurrently in-flight points of one cluster
+	// sweep: 2 x local workers x member count, enough to saturate the
+	// fleet's pools with headroom for cache hits.
+	sweepParallel int
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -201,19 +184,20 @@ func NewNode(local *server.Server, cfg Config) (*Node, error) {
 	if !selfSeen {
 		return nil, fmt.Errorf("cluster: self id %q not in peer list", cfg.SelfID)
 	}
-	cfg = cfg.withDefaults(local.Options().Workers, len(ids))
-	ring, err := NewRing(ids, cfg.VNodes)
+	cfg = cfg.withDefaults(len(ids))
+	ring, err := NewRing(ids)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		cfg:    cfg,
-		local:  local,
-		ring:   ring,
-		peers:  make(map[string]*peerState),
-		client: NewClient(cfg.RequestTimeout, cfg.ProbeTimeout, cfg.Transport),
-		fillsf: newFlightGroup(),
-		lat:    newLatWindow(128),
+		cfg:           cfg,
+		local:         local,
+		ring:          ring,
+		sweepParallel: 2 * local.Options().Workers * len(ids),
+		peers:         make(map[string]*peerState),
+		client:        NewClient(cfg.RequestTimeout, defaultProbeTimeout, cfg.Transport),
+		fillsf:        newFlightGroup(),
+		lat:           newLatWindow(128),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.SelfID {
@@ -677,18 +661,18 @@ func (n *Node) hedgeDelay() time.Duration {
 	if n.cfg.HedgeAfter > 0 {
 		return n.cfg.HedgeAfter
 	}
-	p := n.lat.quantile(n.cfg.HedgePercentile)
+	p := n.lat.quantile(hedgePercentile)
 	if p <= 0 {
 		// No signal yet: start permissive so cold-start latencies (process
 		// spawn, first-job JIT of the page pools) don't trigger false hedges.
-		return n.cfg.HedgeMax
+		return hedgeMax
 	}
 	d := p + p/2
-	if d < n.cfg.HedgeMin {
-		d = n.cfg.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
-	if d > n.cfg.HedgeMax {
-		d = n.cfg.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	return d
 }
@@ -822,7 +806,7 @@ func (n *Node) Info() InfoSnapshot {
 	s := InfoSnapshot{
 		Self:             n.cfg.SelfID,
 		Revision:         server.BuildRevision(),
-		VNodes:           n.cfg.VNodes,
+		VNodes:           vnodes,
 		HedgeBudgetMs:    float64(n.hedgeDelay()) / float64(time.Millisecond),
 		DispatchLocal:    n.m.dispatchLocal.Load(),
 		DispatchRemote:   n.m.dispatchRemote.Load(),

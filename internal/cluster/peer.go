@@ -31,6 +31,10 @@ type Client struct {
 	probeTimeout time.Duration
 }
 
+// defaultProbeTimeout bounds one health probe when NewClient is given none;
+// a Node's client always uses it.
+const defaultProbeTimeout = time.Second
+
 // NewClient returns a peer client. timeout bounds whole requests including
 // the remote job execution; probeTimeout bounds one health probe (so a hung
 // peer cannot stall probing for the full request budget). rt overrides the
@@ -45,7 +49,7 @@ func NewClient(timeout, probeTimeout time.Duration, rt http.RoundTripper) *Clien
 		}
 	}
 	if probeTimeout <= 0 {
-		probeTimeout = time.Second
+		probeTimeout = defaultProbeTimeout
 	}
 	return &Client{
 		http:         &http.Client{Timeout: timeout, Transport: rt},

@@ -8,7 +8,7 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping canonical job hashes onto node ids.
-// Each node is placed at VNodes pseudo-random points (derived from
+// Each node is placed at vnodes pseudo-random points (derived from
 // SHA-256(id#i), the same hash family as the job hashes themselves); a key is
 // owned by the first node point at or clockwise after the key's point. With
 // enough virtual nodes the load split is near-uniform, and adding or removing
@@ -19,7 +19,6 @@ import (
 // flags); health-based routing happens above the ring, which always answers
 // from the full member set so every node computes identical ownership.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by point
 	nodes  []string    // sorted ids, for Nodes()
 }
@@ -29,20 +28,18 @@ type ringPoint struct {
 	node  string
 }
 
-// defaultVNodes balances lookup cost against split uniformity; at 64 points
-// per node a 3-node ring's heaviest node carries within ~15% of the mean.
-const defaultVNodes = 64
+// vnodes is the virtual-point count per node. It balances lookup cost
+// against split uniformity; at 64 points per node a 3-node ring's heaviest
+// node carries within ~15% of the mean.
+const vnodes = 64
 
 // NewRing builds a ring over the given node ids with vnodes virtual points
-// per node (0 uses the default).
-func NewRing(ids []string, vnodes int) (*Ring, error) {
+// per node.
+func NewRing(ids []string) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if id == "" {

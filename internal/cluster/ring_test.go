@@ -15,13 +15,13 @@ func testKeys(n int) []string {
 }
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty node id accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate node id accepted")
 	}
 }
@@ -30,11 +30,11 @@ func TestNewRingValidation(t *testing.T) {
 // order) agree on every owner — the property that lets each node compute
 // routing locally.
 func TestRingDeterministic(t *testing.T) {
-	r1, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r1, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing([]string{"n3", "n1", "n2"}, 0)
+	r2, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with the default virtual-node count no member's share of
-// the key space strays wildly from the mean.
+// TestRingBalance: with 64 virtual nodes per member no member's share of the
+// key space strays wildly from the mean.
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestRingBalance(t *testing.T) {
 // TestRingConsistency: removing one member only remaps the keys that member
 // owned; everything else keeps its owner.
 func TestRingConsistency(t *testing.T) {
-	big, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	big, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := NewRing([]string{"n1", "n2"}, 0)
+	small, err := NewRing([]string{"n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRingConsistency(t *testing.T) {
 // member exactly once.
 func TestRingOrder(t *testing.T) {
 	ids := []string{"n1", "n2", "n3", "n4"}
-	r, err := NewRing(ids, 0)
+	r, err := NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,9 @@ type Config struct {
 	WidthIssue int
 	// CoreGHz is the core clock (2.2 GHz in the paper).
 	CoreGHz float64
-	// ROB / LQ / SQ are the out-of-order window sizes (224-72-56).
+	// ROB is the out-of-order window size (224). Table V's load and store
+	// queues (72 and 56) are not modeled.
 	ROB int
-	LQ  int
-	SQ  int
 	// MSHRs bounds outstanding cache-line misses to memory.
 	MSHRs int
 
@@ -55,12 +54,12 @@ func DefaultConfig() Config {
 	return Config{
 		WidthIssue: 4,
 		CoreGHz:    2.2,
-		ROB:        224, LQ: 72, SQ: 56,
-		MSHRs: 10,
-		L1:    cache.Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
-		L2:    cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},
-		L3:    cache.Config{SizeBytes: 32 << 20, Ways: 16, LineBytes: 64},
-		L1Ns:  1.8, L2Ns: 6.4, L3Ns: 20,
+		ROB:        224,
+		MSHRs:      10,
+		L1:         cache.Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
+		L2:         cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},
+		L3:         cache.Config{SizeBytes: 32 << 20, Ways: 16, LineBytes: 64},
+		L1Ns:       1.8, L2Ns: 6.4, L3Ns: 20,
 		DTLBEntries: 64, DTLBWays: 4,
 		STLBEntries: 1536, STLBWays: 12,
 		PageSize: 4096,

@@ -7,14 +7,15 @@ import (
 
 // MultiChannel is a DRAM main-memory system of N independent channels with
 // line-granular channel interleaving — the DDR4 4-channel configuration of
-// Table V. It implements mem.System.
+// Table V, and with one channel the slower-DRAM baselines of Figures 3 and
+// 11. It implements mem.System.
 type MultiChannel struct {
-	eng      *sim.Engine
-	channels []*Controller
-	ilv      uint64
-	wq       int
-	wqMax    int
-	inflight int
+	eng       *sim.Engine
+	channels  []*Controller
+	postedLat sim.Cycle
+	wq        int
+	wqMax     int
+	inflight  int
 
 	// Completions bound once by NewMultiChannel, so an access allocates no
 	// closure: readDone and posted complete the *mem.Request passed as
@@ -47,26 +48,30 @@ func mcPushWrite(a any) {
 	m.retries.Put(w)
 }
 
+// interleaveBytes is the consecutive span per channel: one 64B line, the
+// fine-grained interleaving of server iMCs.
+const interleaveBytes = 64
+
 // MultiChannelConfig configures the system.
 type MultiChannelConfig struct {
 	// Channels is the channel count (Table V: 4).
 	Channels int
 	// Channel configures each channel identically.
 	Channel Config
-	// InterleaveBytes is the consecutive span per channel (default: one
-	// 64B line, the fine-grained interleaving of server iMCs).
-	InterleaveBytes uint64
 	// WriteQueue bounds posted writes per system.
 	WriteQueue int
+	// PostedNs is the latency at which a posted write completes to its
+	// issuer, while it drains through its channel behind the scenes.
+	PostedNs float64
 }
 
 // DefaultMultiChannelConfig returns the Table V DRAM main memory.
 func DefaultMultiChannelConfig() MultiChannelConfig {
 	return MultiChannelConfig{
-		Channels:        4,
-		Channel:         DefaultConfig(),
-		InterleaveBytes: 64,
-		WriteQueue:      32,
+		Channels:   4,
+		Channel:    DefaultConfig(),
+		WriteQueue: 32,
+		PostedNs:   20,
 	}
 }
 
@@ -75,14 +80,14 @@ func NewMultiChannel(cfg MultiChannelConfig) *MultiChannel {
 	if cfg.Channels < 1 {
 		cfg.Channels = 1
 	}
-	if cfg.InterleaveBytes == 0 {
-		cfg.InterleaveBytes = 64
-	}
 	if cfg.WriteQueue == 0 {
 		cfg.WriteQueue = 32
 	}
+	if cfg.PostedNs == 0 {
+		cfg.PostedNs = 20
+	}
 	eng := sim.NewEngine()
-	m := &MultiChannel{eng: eng, ilv: cfg.InterleaveBytes, wqMax: cfg.WriteQueue}
+	m := &MultiChannel{eng: eng, postedLat: NsToCycles(cfg.PostedNs), wqMax: cfg.WriteQueue}
 	for i := 0; i < cfg.Channels; i++ {
 		m.channels = append(m.channels, NewController(eng, cfg.Channel))
 	}
@@ -130,8 +135,8 @@ func (m *MultiChannel) Route(addr uint64) (int, uint64) {
 	if n == 1 {
 		return 0, addr
 	}
-	span := addr / m.ilv
-	return int(span % n), (span/n)*m.ilv + addr%m.ilv
+	span := addr / interleaveBytes
+	return int(span % n), (span/n)*interleaveBytes + addr%interleaveBytes
 }
 
 // Unroute inverts Route (property tests).
@@ -140,8 +145,8 @@ func (m *MultiChannel) Unroute(ch int, local uint64) uint64 {
 	if n == 1 {
 		return local
 	}
-	span := local / m.ilv
-	return (span*n+uint64(ch))*m.ilv + local%m.ilv
+	span := local / interleaveBytes
+	return (span*n+uint64(ch))*interleaveBytes + local%interleaveBytes
 }
 
 // Submit implements mem.System: reads route to their channel, writes are
@@ -163,7 +168,7 @@ func (m *MultiChannel) Submit(r *mem.Request) bool {
 		}
 		m.wq++
 		r.Issued = now
-		m.eng.AfterFn(NsToCycles(20), m.posted, r)
+		m.eng.AfterFn(m.postedLat, m.posted, r)
 		ci, local := m.Route(r.Addr)
 		if !m.channels[ci].Schedule(local, true, m.written, nil) {
 			w := m.retries.Get()

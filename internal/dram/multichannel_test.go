@@ -103,3 +103,32 @@ func TestMultiChannelWriteBackpressure(t *testing.T) {
 	}
 	m.Engine().Run()
 }
+
+// TestMultiChannelPostedLatency: a posted store completes to its issuer
+// exactly PostedNs after issue, whatever its channel's drain costs: 20 ns on
+// the Table V memory, 25 ns on the one-channel slower-DRAM flavors.
+func TestMultiChannelPostedLatency(t *testing.T) {
+	for _, c := range []struct {
+		channels int
+		ns       float64
+	}{{4, 20}, {1, 25}} {
+		cfg := DefaultMultiChannelConfig()
+		cfg.Channels = c.channels
+		cfg.PostedNs = c.ns
+		m := NewMultiChannel(cfg)
+		d := mem.NewDriver(m)
+		d.RunChain([]mem.Access{{Op: mem.OpRead, Addr: 1 << 20, Size: 64}})
+		st := &mem.Request{Op: mem.OpWrite, Addr: 0, Size: 64}
+		if !m.Submit(st) {
+			t.Fatalf("%v ns: store refused", c.ns)
+		}
+		m.Engine().Run()
+		if st.Issued == 0 {
+			t.Fatalf("%v ns: store issued at cycle 0, want after the read", c.ns)
+		}
+		if got, want := st.Done-st.Issued, NsToCycles(c.ns); got != want {
+			t.Fatalf("%v ns, %d channels: store completed %d cycles after issue, want %d",
+				c.ns, c.channels, got, want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/optane"
+	"repro/internal/sim"
 	"repro/internal/vans"
 	"repro/internal/workload"
 )
@@ -118,36 +119,33 @@ func fig11b(sc Scale) *Result {
 	return r
 }
 
-// speedups computes ExecTimeDRAM/ExecTimeNVRAM per bench for one NVRAM
-// system constructor with one CPU config.
-func speedups(sc Scale, ccfg cpu.Config, mkNVRAM func() mem.System) map[string]float64 {
-	out := map[string]float64{}
-	for _, b := range specBenches(sc) {
-		dramTime := runSpec(b, ccfg, dramMain(), sc.Instructions).Cycles
-		nvTime := runSpec(b, ccfg, mkNVRAM(), sc.Instructions).Cycles
-		if nvTime == 0 {
-			continue
+// nvramSpeedups computes ExecTimeDRAM/ExecTimeNVRAM per bench for the three
+// systems of Figure 11c: the "Optane server" (CPU over the empirical
+// reference) and the simulators under test, VANS and Ramulator-PCM, which
+// both run with the degraded CPU config, as the paper attaches both to the
+// same gem5. Each DRAM baseline runs once per bench and CPU config.
+func nvramSpeedups(sc Scale) (optRef, vansS, ram map[string]float64) {
+	p := refParams(sc)
+	optRef, vansS, ram = map[string]float64{}, map[string]float64{}, map[string]float64{}
+	speedup := func(out map[string]float64, b workload.SPECBench, ccfg cpu.Config, dramTime sim.Cycle, nv mem.System) {
+		if nvTime := runSpec(b, ccfg, nv, sc.Instructions).Cycles; nvTime != 0 {
+			out[b.Name] = float64(dramTime) / float64(nvTime)
 		}
-		out[b.Name] = float64(dramTime) / float64(nvTime)
 	}
-	return out
+	for _, b := range specBenches(sc) {
+		serverDRAM := runSpec(b, serverCPU(), dramMain(), sc.Instructions).Cycles
+		simDRAM := runSpec(b, simCPU(), dramMain(), sc.Instructions).Cycles
+		speedup(optRef, b, serverCPU(), serverDRAM,
+			optane.New(optane.Config{Params: p, DIMMs: 1, Seed: 7, Obs: sc.Obs}))
+		speedup(vansS, b, simCPU(), simDRAM, vans.New(vansConfig(sc, 1, false)))
+		speedup(ram, b, simCPU(), simDRAM, baseline.NewSlowDRAM(baseline.RamulatorPCM))
+	}
+	return optRef, vansS, ram
 }
 
 func fig11c(sc Scale) *Result {
 	r := &Result{ID: "fig11c", Title: "NVRAM/DRAM speedup comparison"}
-	// "Optane server": CPU over the empirical reference. "VANS" and
-	// "Ramulator": the simulators under test (both run with the degraded
-	// CPU config, as the paper attaches both to the same gem5).
-	p := refParams(sc)
-	optRef := speedups(sc, serverCPU(), func() mem.System {
-		return optane.New(optane.Config{Params: p, DIMMs: 1, Seed: 7, Obs: sc.Obs})
-	})
-	vansS := speedups(sc, simCPU(), func() mem.System {
-		return vans.New(vansConfig(sc, 1, false))
-	})
-	ram := speedups(sc, simCPU(), func() mem.System {
-		return baseline.NewSlowDRAM(baseline.RamulatorPCM)
-	})
+	optRef, vansS, ram := nvramSpeedups(sc)
 	t := &analysis.Table{Title: "Speedup (ExecTimeDRAM / ExecTimeNVRAM)",
 		Columns: []string{"workload", "Optane", "VANS", "Ramulator"}}
 	for _, b := range specBenches(sc) {
@@ -163,16 +161,7 @@ func fig11c(sc Scale) *Result {
 
 func fig11d(sc Scale) *Result {
 	r := &Result{ID: "fig11d", Title: "Speedup accuracy (geomean)"}
-	p := refParams(sc)
-	optRef := speedups(sc, serverCPU(), func() mem.System {
-		return optane.New(optane.Config{Params: p, DIMMs: 1, Seed: 7, Obs: sc.Obs})
-	})
-	vansS := speedups(sc, simCPU(), func() mem.System {
-		return vans.New(vansConfig(sc, 1, false))
-	})
-	ram := speedups(sc, simCPU(), func() mem.System {
-		return baseline.NewSlowDRAM(baseline.RamulatorPCM)
-	})
+	optRef, vansS, ram := nvramSpeedups(sc)
 	var vSim, vRef, rSim, rRef []float64
 	for _, b := range specBenches(sc) {
 		if ref, ok := optRef[b.Name]; ok {

@@ -1,11 +1,10 @@
 // Package trace defines the memory trace format used to drive the simulators
-// in "trace mode" (the way the paper feeds LENS-captured traces into VANS),
-// with both a human-readable text codec and a compact binary codec.
+// in "trace mode" (the way the paper feeds LENS-captured traces into VANS):
+// one human-readable text record per line.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -156,93 +155,6 @@ func (tr *Reader) ReadAll() ([]Record, error) {
 		}
 		recs = append(recs, rec)
 	}
-}
-
-// binaryMagic guards the binary format against accidental text input.
-var binaryMagic = [4]byte{'V', 'T', 'R', '1'}
-
-// WriteBinary encodes records in the compact varint format.
-func WriteBinary(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(recs))); err != nil {
-		return err
-	}
-	var prevCycle sim.Cycle
-	for _, r := range recs {
-		// Delta-encode cycles: traces are time-sorted in practice, so
-		// deltas are small. Non-monotonic inputs still round-trip (delta
-		// stored as zig-zag).
-		delta := int64(r.Cycle) - int64(prevCycle)
-		prevCycle = r.Cycle
-		zz := uint64(delta<<1) ^ uint64(delta>>63)
-		if err := put(zz); err != nil {
-			return err
-		}
-		if err := put(uint64(r.Op)); err != nil {
-			return err
-		}
-		if err := put(r.Addr); err != nil {
-			return err
-		}
-		if err := put(uint64(r.Size)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a trace produced by WriteBinary.
-func ReadBinary(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	const maxRecords = 1 << 30
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: record count %d exceeds limit", n)
-	}
-	recs := make([]Record, 0, n)
-	var prevCycle int64
-	for i := uint64(0); i < n; i++ {
-		zz, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d cycle: %w", i, err)
-		}
-		delta := int64(zz>>1) ^ -int64(zz&1)
-		prevCycle += delta
-		op, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d op: %w", i, err)
-		}
-		addr, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d addr: %w", i, err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d size: %w", i, err)
-		}
-		recs = append(recs, Record{
-			Cycle: sim.Cycle(prevCycle), Op: mem.Op(op), Addr: addr, Size: uint32(size)})
-	}
-	return recs, nil
 }
 
 // Collector is a sink that records every request submitted through it; it

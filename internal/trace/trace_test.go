@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -96,84 +95,6 @@ func TestReaderReportsLineNumber(t *testing.T) {
 	_, err := r.Read()
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 context", err)
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-}
-
-// Property: binary codec round-trips arbitrary records, including
-// non-monotone cycles.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(cycles []uint32, addrs []uint64, seed uint64) bool {
-		n := len(cycles)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		rng := sim.NewRNG(seed)
-		recs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			recs[i] = Record{
-				Cycle: sim.Cycle(cycles[i]),
-				Op:    mem.Op(rng.Intn(5)),
-				Addr:  addrs[i],
-				Size:  uint32(rng.Intn(256)),
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, recs); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil || len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

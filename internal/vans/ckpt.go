@@ -117,30 +117,3 @@ func (s *System) LoadState(dec *ckpt.Dec) error {
 	}
 	return nil
 }
-
-// Capture seals the system state into a standalone snapshot.
-func (s *System) Capture() ([]byte, error) {
-	var enc ckpt.Enc
-	if err := s.SaveState(&enc); err != nil {
-		return nil, err
-	}
-	return ckpt.Seal(enc.Bytes()), nil
-}
-
-// Restore builds a fresh system from cfg and loads a snapshot produced by
-// Capture on a system with the same configuration.
-func Restore(cfg Config, snapshot []byte) (*System, error) {
-	payload, err := ckpt.Open(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	s := New(cfg)
-	dec := ckpt.NewDec(payload)
-	if err := s.LoadState(dec); err != nil {
-		return nil, err
-	}
-	if err := dec.Close(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}

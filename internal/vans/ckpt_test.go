@@ -118,8 +118,8 @@ func TestRestoreIdentityMemoryMode(t *testing.T) {
 	testRestoreIdentity(t, cfg)
 }
 
-// TestCaptureRejectsBusy: capturing a non-quiescent system is an error, not
-// a corrupt snapshot.
+// TestCaptureRejectsBusy: saving a non-quiescent system is an error, not a
+// corrupt snapshot.
 func TestCaptureRejectsBusy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NV.Media.Capacity = 16 << 20
@@ -128,40 +128,8 @@ func TestCaptureRejectsBusy(t *testing.T) {
 	if !sys.Submit(r) {
 		t.Fatal("submit rejected")
 	}
-	if _, err := sys.Capture(); err == nil {
-		t.Fatal("Capture succeeded with in-flight work")
-	}
-}
-
-// TestRecoveryInterface: both recovery semantics produce working systems —
-// remnants truncates volatile state, exact reproduces it.
-func TestRecoveryInterface(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NV.Media.Capacity = 16 << 20
-	sys := New(cfg)
-	d := mem.NewDriver(sys)
-	d.RunWindow(ckptAccs(800), 8)
-	d.Fence()
-	sys.Engine().Run()
-
-	snap, err := sys.Capture()
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-
-	for _, rec := range []Recovery{RemnantsRecovery{}, ExactRecovery{Snapshot: snap}} {
-		fresh, err := rec.Recover(sys)
-		if err != nil {
-			t.Fatalf("%s: Recover: %v", rec.Name(), err)
-		}
-		exact := rec.Name() == "exact"
-		gotClock := fresh.Engine().Now() == sys.Engine().Now()
-		if gotClock != exact {
-			t.Fatalf("%s recovery: clock carried over = %v, want %v", rec.Name(), gotClock, exact)
-		}
-		gotStats := fresh.IMC().Stats() == sys.IMC().Stats()
-		if gotStats != exact {
-			t.Fatalf("%s recovery: iMC stats carried over = %v, want %v", rec.Name(), gotStats, exact)
-		}
+	var enc ckpt.Enc
+	if err := sys.SaveState(&enc); err == nil {
+		t.Fatal("SaveState succeeded with in-flight work")
 	}
 }

@@ -157,9 +157,6 @@ func (s *System) Engine() *sim.Engine { return s.eng }
 // CyclesPerNano implements mem.System.
 func (s *System) CyclesPerNano() float64 { return dram.CyclesPerNano }
 
-// Config returns the effective configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // IMC exposes the memory controller.
 func (s *System) IMC() *imc.IMC { return s.imc }
 
