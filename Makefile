@@ -6,18 +6,32 @@ GO ?= go
 # stub, an iMC channel's store back-pressure over a real DIMM, DIMM read
 # miss, on-DIMM DRAM access), the CPU substrate (the core over a
 # fixed-latency stub, building the L3), and nvmserved's reply path (a cached
-# submission through the HTTP handler).
+# submission through the HTTP handler) and cloud-job trace capture.
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/ ./internal/mem/ ./internal/imc/ ./internal/nvdimm/ ./internal/dram/ ./internal/cpu/ ./internal/cache/ ./internal/server/
 
-.PHONY: ci build vet test test-builds race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure event-counts trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
+.PHONY: ci build vet test test-builds race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff profile-figure event-counts trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke digests-check
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
 # crash-consistency property test), the tests of the builds ./... does not
 # reach, a short fuzz smoke per target, a single-iteration bench smoke, a
 # trace-export smoke, a checkpoint/restore smoke, a 3-node cluster smoke, a
-# seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
-ci: vet build race test-builds fuzz-smoke bench-smoke trace-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+# seeded chaos soak, a fleet-dashboard smoke, the perfbench digest check,
+# and a gofmt check.
+ci: vet build race test-builds fuzz-smoke bench-smoke trace-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke digests-check fmt-check
+
+# digests-check runs every perfbench catalogue job and figure through the
+# benchmark's own build and compares the digests it records, byte for byte,
+# with perfbench/digests.txt: the exactness gate for a change meant to keep
+# every output. The digests were recorded on amd64 and, like the golden
+# files, are compared only there.
+digests-check:
+	@if [ "$$($(GO) env GOARCH)" != amd64 ]; then \
+		echo "digests-check: digests recorded on amd64, skipped on $$($(GO) env GOARCH)"; exit 0; fi; \
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	bash perfbench/run.sh --record $$tmp/digests.txt && \
+	cmp $$tmp/digests.txt perfbench/digests.txt && \
+	echo "digests-check: every catalogue job and figure matches perfbench/digests.txt"
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:

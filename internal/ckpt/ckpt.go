@@ -22,11 +22,13 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // FormatVersion is the current snapshot payload layout version. Bump it on
@@ -44,6 +46,13 @@ const (
 	trailerLen = 4
 )
 
+// header opens every sealed snapshot; headerSum is its CRC32, where the
+// envelope's checksum starts.
+var (
+	header    = binary.LittleEndian.AppendUint16(magic[:], FormatVersion)
+	headerSum = crc32.ChecksumIEEE(header)
+)
+
 // Typed decode errors. Every failure mode of Open/Dec maps onto exactly one
 // of these (possibly wrapped with detail), so callers can branch on class
 // with errors.Is.
@@ -59,14 +68,14 @@ var (
 	ErrCorrupt = errors.New("ckpt: corrupt snapshot")
 )
 
-// Seal wraps payload in the versioned, checksummed envelope.
+// Seal wraps payload in the versioned, checksummed envelope. The checksum
+// runs over the header and then the payload where it lies, and bytes.Join
+// builds the envelope in one allocation that is not zeroed first: every
+// byte of it is written, and a snapshot is megabytes.
 func Seal(payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload)+trailerLen)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, FormatVersion)
-	out = append(out, payload...)
-	sum := crc32.ChecksumIEEE(out)
-	return binary.LittleEndian.AppendUint32(out, sum)
+	var trailer [trailerLen]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc32.Update(headerSum, crc32.IEEETable, payload))
+	return bytes.Join([][]byte{header, payload, trailer[:]}, nil)
 }
 
 // Open verifies the envelope of a sealed snapshot and returns its payload.
@@ -145,8 +154,19 @@ func (e *Enc) String(s string) {
 // U64s appends a u32 count prefix followed by each element.
 func (e *Enc) U64s(vs []uint64) {
 	e.U32(uint32(len(vs)))
+	e.U64Array(vs)
+}
+
+// U64Array appends each element of vs with no count prefix, for arrays
+// whose length the reader knows (a paged store's fixed-size leaves). The
+// buffer grows at most once for the whole array.
+func (e *Enc) U64Array(vs []uint64) {
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:n+8*len(vs)]
+	b := e.buf[n:]
 	for _, v := range vs {
-		e.U64(v)
+		binary.LittleEndian.PutUint64(b, v)
+		b = b[8:]
 	}
 }
 

@@ -163,3 +163,50 @@ func TestHostileLengthPrefix(t *testing.T) {
 		t.Errorf("Err = %v, want ErrTruncated", d.Err())
 	}
 }
+
+// TestSealLayout checks Seal against the envelope written out field by
+// field (magic, version, payload, CRC32 of all before it) at sizes around a
+// page boundary, and that sealing allocates only the envelope.
+func TestSealLayout(t *testing.T) {
+	for _, n := range []int{0, 1, 8180, 8183, 8184, 8185, 1 << 20} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*131 + i>>8)
+		}
+		want := append([]byte("NVCKPT"), byte(FormatVersion), byte(FormatVersion>>8))
+		want = sealCRC(append(want, payload...))
+		if got := Seal(payload); !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: Seal differs from the field-by-field envelope", n)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Seal(payload) }); allocs != 1 {
+			t.Errorf("%d-byte payload: Seal made %v allocations, want 1", n, allocs)
+		}
+	}
+}
+
+// TestU64Array checks that an array appends exactly the bytes of its
+// elements one U64 at a time, after existing content and across a grow, and
+// that an encoder with room appends without allocating.
+func TestU64Array(t *testing.T) {
+	vs := make([]uint64, 512)
+	for i := range vs {
+		vs[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	for _, n := range []int{0, 1, 3, 512} {
+		var want, got Enc
+		want.String("head")
+		got.String("head")
+		for _, v := range vs[:n] {
+			want.U64(v)
+		}
+		got.U64Array(vs[:n])
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d elements: U64Array differs from U64 per element", n)
+		}
+	}
+	var e Enc
+	e.U64Array(vs)
+	if allocs := testing.AllocsPerRun(10, func() { e.Reset(); e.U64Array(vs) }); allocs != 0 {
+		t.Errorf("U64Array into a buffer with room made %v allocations, want 0", allocs)
+	}
+}

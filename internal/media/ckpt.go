@@ -23,9 +23,7 @@ func (p *pagedU64) saveState(enc *ckpt.Enc) {
 			continue
 		}
 		enc.U64(uint64(li))
-		for _, v := range l {
-			enc.U64(v)
-		}
+		enc.U64Array(l)
 	}
 }
 

@@ -154,9 +154,7 @@ func (p *identPages) saveState(enc *ckpt.Enc) {
 			continue
 		}
 		enc.U64(uint64(li))
-		for _, v := range l {
-			enc.U64(v)
-		}
+		enc.U64Array(l)
 	}
 }
 

@@ -425,26 +425,58 @@ func seqOp(name string) mem.Op {
 // capture system, recording the post-cache memory trace (the tracegen flow),
 // and returns it as a driver stream for the job's own system.
 func captureCloud(wp WorkloadPlan, seed uint64) []mem.Access {
-	capCfg := vans.DefaultConfig()
-	capCfg.NV.Media.Capacity = 256 << 20
-	col := trace.NewCollector(vans.New(capCfg))
-	core := cpu.New(cpu.DefaultConfig(), col)
+	sys := newCaptureSystem()
+	cpu.New(cpu.DefaultConfig(), sys).Run(cloudWorkload(wp, seed))
+	return sys.accs
+}
 
-	var w cpu.Workload
+// cloudWorkload builds the instruction stream of a cloud plan: a SPEC bench
+// at the plan's footprint, or one of the Section V workloads.
+func cloudWorkload(wp WorkloadPlan, seed uint64) cpu.Workload {
 	if b, ok := workload.SPECBenchByName(wp.Name); ok {
 		b.FootprintMB = float64(wp.Footprint) / (1 << 20)
-		w = workload.SPEC(b, wp.Instructions, seed)
-	} else {
-		w = workload.Cloud(wp.Name, workload.CloudOptions{
-			Instructions: wp.Instructions,
-			Seed:         seed,
-			Footprint:    wp.Footprint,
-		})
+		return workload.SPEC(b, wp.Instructions, seed)
 	}
-	core.Run(w)
-	accs := make([]mem.Access, len(col.Records))
-	for i, rec := range col.Records {
-		accs[i] = rec.Access()
-	}
-	return accs
+	return workload.Cloud(wp.Name, workload.CloudOptions{
+		Instructions: wp.Instructions,
+		Seed:         seed,
+		Footprint:    wp.Footprint,
+	})
+}
+
+// captureSystem is the memory under a cloud capture: it records every
+// request it is offered, accepts it, and completes it one cycle later. The
+// core sends its post-cache requests in program order whatever the memory's
+// timing (DESIGN.md §9 "CPU substrate"), so a timing model here would change
+// only the capture's cost, not one access of the trace.
+type captureSystem struct {
+	eng      *sim.Engine
+	accs     []mem.Access
+	inflight int
+	done     func(any) // s.complete, bound once so Submit allocates no closure
+}
+
+func newCaptureSystem() *captureSystem {
+	s := &captureSystem{eng: sim.NewEngine()}
+	s.done = s.complete
+	return s
+}
+
+func (s *captureSystem) Engine() *sim.Engine    { return s.eng }
+func (s *captureSystem) CyclesPerNano() float64 { return 1 }
+func (s *captureSystem) Drained() bool          { return s.inflight == 0 }
+
+// Submit records and accepts r; the request rides as its completion
+// event's argument.
+func (s *captureSystem) Submit(r *mem.Request) bool {
+	s.accs = append(s.accs, mem.Access{Op: r.Op, Addr: r.Addr, Size: r.Size})
+	r.Issued = s.eng.Now()
+	s.inflight++
+	s.eng.ScheduleFn(r.Issued+1, s.done, r)
+	return true
+}
+
+func (s *captureSystem) complete(a any) {
+	s.inflight--
+	a.(*mem.Request).Complete(s.eng.Now())
 }

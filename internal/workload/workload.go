@@ -8,6 +8,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
@@ -35,14 +36,52 @@ type Zipf struct {
 
 // NewZipf builds a sampler over [0, n).
 func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
-	z := &Zipf{rng: rng, n: n, theta: theta}
-	for i := uint64(1); i <= n; i++ {
-		z.zetan += 1 / math.Pow(float64(i), theta)
-	}
+	z := &Zipf{rng: rng, n: n, theta: theta, zetan: zeta(n, theta)}
 	zeta2 := 1 + 1/math.Pow(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
 	return z
+}
+
+// zetaMemoCap bounds the zeta memo. Each distinct (n, θ) a process builds
+// a sampler for takes one entry; a full memo is emptied and refills.
+const zetaMemoCap = 64
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+var zetaMemo = struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}{m: make(map[zetaKey]float64)}
+
+// zeta returns the zipfian normaliser, the sum of i^-θ for i = 1..n. Its n
+// powers are most of a sampler's set-up, and every YCSB job over one
+// footprint sums the same ones, so sums are memoized by (n, θ), process-wide
+// because generators build their samplers with nothing to hold a memo. A
+// sum recomputed after the memo was emptied adds the same terms in the same
+// order, so it is the same float to the bit, and no caller can tell whether
+// another filled the memo.
+func zeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	sum, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return sum
+	}
+	for i := uint64(1); i <= n; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	zetaMemo.Lock()
+	if len(zetaMemo.m) >= zetaMemoCap {
+		clear(zetaMemo.m)
+	}
+	zetaMemo.m[k] = sum
+	zetaMemo.Unlock()
+	return sum
 }
 
 // Next samples one value.

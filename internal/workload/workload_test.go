@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
@@ -42,6 +44,69 @@ func TestZipfConcentration(t *testing.T) {
 			t.Fatalf("sample %d out of range", v)
 		}
 	}
+}
+
+// zetaBits is the zipfian normaliser summed in its original order, as
+// float bits.
+func zetaBits(n uint64, theta float64) uint64 {
+	var sum float64
+	for i := uint64(1); i <= n; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	return math.Float64bits(sum)
+}
+
+// TestZetaMemo checks the memoized zipfian normaliser bit for bit against
+// the sum written out in its original order, on a first call, on a memo
+// hit, and after the memo has filled and been emptied more than once; and
+// that the memo never holds more than its bound.
+func TestZetaMemo(t *testing.T) {
+	for round := 0; round < 2; round++ {
+		for k := uint64(1); k <= 3*zetaMemoCap; k++ {
+			n, theta := 97*k, 0.99
+			if k%2 == 0 {
+				theta = 0.8
+			}
+			want := zetaBits(n, theta)
+			for call := 0; call < 2; call++ {
+				if got := math.Float64bits(zeta(n, theta)); got != want {
+					t.Fatalf("round %d, zeta(%d, %v) call %d = %#x, want %#x",
+						round, n, theta, call, got, want)
+				}
+			}
+			zetaMemo.Lock()
+			size := len(zetaMemo.m)
+			zetaMemo.Unlock()
+			if size > zetaMemoCap {
+				t.Fatalf("memo holds %d entries, bound %d", size, zetaMemoCap)
+			}
+		}
+	}
+}
+
+// TestZetaMemoConcurrent builds samplers' normalisers from several
+// goroutines at once, as nvmserved's workers do, over more keys than the
+// memo holds, so lookups, inserts and emptying race.
+func TestZetaMemoConcurrent(t *testing.T) {
+	want := map[uint64]uint64{}
+	for k := uint64(1); k <= 2*zetaMemoCap; k++ {
+		want[31*k] = zetaBits(31*k, 0.99)
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := uint64(1); k <= 2*zetaMemoCap; k++ {
+				n := 31 * ((k+16*g)%(2*zetaMemoCap) + 1)
+				if got := math.Float64bits(zeta(n, 0.99)); got != want[n] {
+					t.Errorf("zeta(%d, 0.99) = %#x, want %#x", n, got, want[n])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSPECTableMatchesPaper(t *testing.T) {
