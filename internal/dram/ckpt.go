@@ -18,7 +18,7 @@ import (
 // nextRW); rank count, per-rank (lastACTs, nextACT, nextRD, nextRefresh);
 // busFree, lastBurstBG, lastBurstAt, haveBurst; stats.
 func (c *Controller) SaveState(enc *ckpt.Enc) error {
-	if len(c.queue) != 0 || c.inflight != 0 || c.busy {
+	if !c.Drained() || c.busy {
 		return fmt.Errorf("ckpt: DRAM controller has in-flight requests; checkpoint only at an idle cut")
 	}
 	if c.cfg.TapCommands {
@@ -63,7 +63,7 @@ func (c *Controller) SaveState(enc *ckpt.Enc) error {
 // LoadState restores state captured by SaveState into a controller built
 // from the same configuration.
 func (c *Controller) LoadState(dec *ckpt.Dec) error {
-	if len(c.queue) != 0 || c.inflight != 0 || c.busy {
+	if !c.Drained() || c.busy {
 		return fmt.Errorf("ckpt: cannot restore into a DRAM controller with in-flight requests")
 	}
 	nb := dec.Count(26)

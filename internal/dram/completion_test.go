@@ -27,16 +27,19 @@ type oracleAccess struct {
 	write  bool
 	bursts int
 	req    *mem.Request // non-nil: submitted through Submit
+	quiet  bool         // composed with a nil continuation
 	doneAt sim.Cycle
 }
 
 // TestCompletionsFireInServiceOrder is the oracle for the controller's
 // completion FIFO: randomized streams of 1-4-burst reads and writes over
-// every bank and rank, mixing the mem.Request and composed completion forms,
-// under FR-FCFS (so open-page service order differs from arrival order), with refresh
-// and closed-page each on and off. Every access must complete exactly once,
-// in the order the scheduler serviced it, at its own data-end cycle, and
-// data-end cycles must never decrease.
+// every bank and rank, mixing the mem.Request and composed completion forms
+// and composed accesses with no continuation (a lane slot each), under
+// FR-FCFS (so open-page service order differs from arrival order), with
+// refresh and closed-page each on and off. Every access with a
+// continuation must complete exactly once, in the order the scheduler
+// serviced it, at its own data-end cycle, and data-end cycles must never
+// decrease.
 func TestCompletionsFireInServiceOrder(t *testing.T) {
 	for _, refresh := range []bool{false, true} {
 		for _, closed := range []bool{false, true} {
@@ -92,6 +95,8 @@ func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
 			if a.write {
 				a.req.Op = mem.OpWrite
 			}
+		} else {
+			a.quiet = rng.Intn(4) == 0
 		}
 		accs[i] = a
 	}
@@ -104,9 +109,12 @@ func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
 	submit = func(arg any) {
 		a := arg.(*oracleAccess)
 		var ok bool
-		if a.req != nil {
+		switch {
+		case a.req != nil:
 			ok = c.Submit(a.req)
-		} else {
+		case a.quiet:
+			ok = c.ScheduleN(a.addr, a.write, a.bursts, nil, nil)
+		default:
 			ok = c.ScheduleN(a.addr, a.write, a.bursts, composedDone, a)
 		}
 		if !ok {
@@ -125,26 +133,37 @@ func checkServiceOrder(t *testing.T, refresh, closed bool, seed uint64) {
 	}
 	eng.Run()
 
-	if len(completions) != n || len(log.issued) != n {
-		t.Fatalf("%d completions and %d issues for %d accesses", len(completions), len(log.issued), n)
+	quiet := 0
+	for _, a := range accs {
+		if a.quiet {
+			quiet++
+		}
 	}
-	if !c.Drained() {
-		t.Fatal("controller not drained")
+	if quiet == 0 || len(completions) != n-quiet || len(log.issued) != n {
+		t.Fatalf("%d completions and %d issues for %d accesses, %d of them without a continuation",
+			len(completions), len(log.issued), n, quiet)
+	}
+	if !c.Drained() || c.PendingSlots() != 0 {
+		t.Fatalf("controller not drained (%d slots unpassed)", c.PendingSlots())
 	}
 	reordered := false
 	var prevEnd sim.Cycle
+	done := 0
 	for k, ev := range log.issued {
 		id, ok := byAddr[ev.Addr]
 		if !ok {
 			t.Fatalf("issue %d for unknown address %#x", k, ev.Addr)
 		}
-		if completions[k] != id {
-			t.Fatalf("completion %d is access %d, but the scheduler serviced access %d %d-th",
-				k, completions[k], id, k)
-		}
 		dataEnd := ev.Now + sim.Cycle(ev.Arg)
-		if accs[id].doneAt != dataEnd {
-			t.Fatalf("access %d completed at %d, its data phase ended at %d", id, accs[id].doneAt, dataEnd)
+		if !accs[id].quiet {
+			if completions[done] != id {
+				t.Fatalf("completion %d is access %d, but the scheduler serviced access %d %d-th",
+					done, completions[done], id, k)
+			}
+			done++
+			if accs[id].doneAt != dataEnd {
+				t.Fatalf("access %d completed at %d, its data phase ended at %d", id, accs[id].doneAt, dataEnd)
+			}
 		}
 		if dataEnd < prevEnd {
 			t.Fatalf("data end %d of service %d precedes the previous %d", dataEnd, k, prevEnd)
@@ -203,5 +222,53 @@ func TestServicedFIFOBounded(t *testing.T) {
 	}
 	if got := cap(c.serviced); got > 64 {
 		t.Fatalf("serviced FIFO capacity %d after %d accesses with at most %d in flight", got, n, maxLive)
+	}
+}
+
+// TestQuietAccessHoldsDrained: an access with no continuation leaves the
+// serviced FIFO out and takes a lane slot at its data-end cycle instead of
+// a completion event. Until the engine passes that cycle the controller is
+// not drained; an access with a continuation serviced after it still
+// completes at its own data end.
+func TestQuietAccessHoldsDrained(t *testing.T) {
+	log := &issueLog{}
+	o := obs.New()
+	o.Attach(log)
+	cfg := DefaultConfig()
+	cfg.Obs = o
+	eng := sim.NewEngine()
+	c := NewController(eng, cfg)
+	var doneAt sim.Cycle
+	c.ScheduleN(0, true, 4, nil, nil)
+	c.ScheduleN(1<<20, false, 1, func(any) { doneAt = eng.Now() }, nil)
+	for eng.StepUntil(0) {
+	}
+	if len(log.issued) != 1 {
+		t.Fatalf("%d accesses serviced at cycle 0, want 1", len(log.issued))
+	}
+	quietEnd := log.issued[0].Now + sim.Cycle(log.issued[0].Arg)
+	for eng.StepUntil(quietEnd - 1) {
+	}
+	if c.Drained() || c.PendingSlots() != 1 {
+		t.Fatalf("at cycle %d, before the quiet access's data end %d: drained %v, %d slots",
+			eng.Now(), quietEnd, c.Drained(), c.PendingSlots())
+	}
+	for eng.StepUntil(quietEnd) {
+	}
+	if c.PendingSlots() != 0 || eng.Now() != quietEnd {
+		t.Fatalf("StepUntil(%d) left %d slots, clock at %d", quietEnd, c.PendingSlots(), eng.Now())
+	}
+	if c.Drained() {
+		t.Fatal("drained while the access with a continuation is in flight")
+	}
+	eng.Run()
+	if !c.Drained() || doneAt != log.issued[1].Now+sim.Cycle(log.issued[1].Arg) {
+		t.Fatalf("the second access completed at %d, its data phase ended at %d (drained %v)",
+			doneAt, log.issued[1].Now+sim.Cycle(log.issued[1].Arg), c.Drained())
+	}
+	// Two scheduler turns and one completion fired; the quiet access's
+	// completion was passed.
+	if eng.Fired() != 3 {
+		t.Fatalf("fired %d events, want 3", eng.Fired())
 	}
 }

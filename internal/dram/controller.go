@@ -93,20 +93,22 @@ type Controller struct {
 	// is bounded by the accesses in flight, not by the stream's length.
 	serviced     []completion
 	servicedHead int
+	// passive holds a passive slot at the data-end cycle of each serviced
+	// access whose continuation is nil, in place of a ctrlComplete that
+	// would only end it (DESIGN.md §9 "Passive slots"). Such an access
+	// counts here, not in serviced, until its slot is passed.
+	passive sim.Lane
 	// reqDone completes the *mem.Request passed as its arg: the
 	// continuation of every access Submit queues, bound by the first
 	// Submit (the composed models only Schedule).
 	reqDone func(any)
 
-	inflight int
-	busy     bool
+	busy bool
 
 	stats Stats
 
-	o    *obs.Obs
-	comp string
 	// histAccess records per-access data-phase duration in ns (nil without
-	// an attached Obs).
+	// an attached Obs, cfg.Obs, which knows the controller as cfg.ObsName).
 	histAccess *obs.Histogram
 }
 
@@ -136,23 +138,23 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 		banks: make([]bankState, cfg.Geometry.totalBanks()),
 		ranks: make([]rankState, cfg.Geometry.Ranks),
 	}
+	c.passive.Init(eng, ctrlComplete)
 	for i := range c.ranks {
 		c.ranks[i].nextRefresh = cfg.Timing.TREFI
 	}
-	if cfg.Obs != nil {
-		c.o = cfg.Obs
-		c.comp = cfg.ObsName
-		if c.comp == "" {
-			c.comp = "dram"
+	if o := cfg.Obs; o != nil {
+		if c.cfg.ObsName == "" {
+			c.cfg.ObsName = "dram"
 		}
-		c.o.RegisterPtr(c.comp, "reads", &c.stats.Reads)
-		c.o.RegisterPtr(c.comp, "writes", &c.stats.Writes)
-		c.o.RegisterPtr(c.comp, "row_hits", &c.stats.RowHits)
-		c.o.RegisterPtr(c.comp, "row_misses", &c.stats.RowMisses)
-		c.o.RegisterPtr(c.comp, "row_conflicts", &c.stats.RowConf)
-		c.o.RegisterPtr(c.comp, "refreshes", &c.stats.Refreshes)
-		c.o.RegisterFunc(c.comp, "data_cycles", func() uint64 { return uint64(c.stats.DataCycles) })
-		c.histAccess = c.o.Histogram(c.comp, "access_ns", nil)
+		comp := c.cfg.ObsName
+		o.RegisterPtr(comp, "reads", &c.stats.Reads)
+		o.RegisterPtr(comp, "writes", &c.stats.Writes)
+		o.RegisterPtr(comp, "row_hits", &c.stats.RowHits)
+		o.RegisterPtr(comp, "row_misses", &c.stats.RowMisses)
+		o.RegisterPtr(comp, "row_conflicts", &c.stats.RowConf)
+		o.RegisterPtr(comp, "refreshes", &c.stats.Refreshes)
+		o.RegisterFunc(comp, "data_cycles", func() uint64 { return uint64(c.stats.DataCycles) })
+		c.histAccess = o.Histogram(comp, "access_ns", nil)
 	}
 	return c
 }
@@ -163,8 +165,15 @@ func (c *Controller) Engine() *sim.Engine { return c.eng }
 // CyclesPerNano implements mem.System.
 func (c *Controller) CyclesPerNano() float64 { return CyclesPerNano }
 
-// Drained implements mem.System.
-func (c *Controller) Drained() bool { return c.inflight == 0 && len(c.queue) == 0 }
+// Drained implements mem.System: nothing is queued, and every serviced
+// access has reached its data-end cycle.
+func (c *Controller) Drained() bool {
+	return len(c.queue) == 0 && c.servicedHead == len(c.serviced) && c.passive.Pending() == 0
+}
+
+// PendingSlots returns how many serviced accesses without a continuation
+// have not yet reached their data-end cycle.
+func (c *Controller) PendingSlots() int { return c.passive.Pending() }
 
 // Stats returns a copy of the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -192,7 +201,6 @@ func (c *Controller) Submit(r *mem.Request) bool {
 	}
 	c.queue = append(c.queue, pending{done: c.reqDone, arg: r, addr: r.Addr, bursts: 1,
 		write: r.Op.IsWrite() || r.Op == mem.OpClwb})
-	c.inflight++
 	c.kick()
 	return true
 }
@@ -216,7 +224,6 @@ func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func(any), a
 		n = 1
 	}
 	c.queue = append(c.queue, pending{done: done, arg: arg, addr: addr, bursts: int32(n), write: write})
-	c.inflight++
 	c.kick()
 	return true
 }
@@ -241,7 +248,8 @@ func (c *Controller) completeWhenDrained(r *mem.Request) {
 func ctrlServiceNext(a any) { a.(*Controller).serviceNext() }
 
 // ctrlComplete fires at an access's data-end cycle and completes the oldest
-// serviced access, which is the one due (see Controller.serviced).
+// serviced access with a continuation, which is the one due (see
+// Controller.serviced).
 func ctrlComplete(a any) {
 	c := a.(*Controller)
 	p := c.serviced[c.servicedHead]
@@ -250,10 +258,7 @@ func ctrlComplete(a any) {
 	if c.servicedHead == len(c.serviced) {
 		c.serviced, c.servicedHead = c.serviced[:0], 0
 	}
-	c.inflight--
-	if p.done != nil {
-		p.done(p.arg)
-	}
+	p.done(p.arg)
 }
 
 // kick schedules the scheduler loop if it is not already running.
@@ -438,20 +443,25 @@ func (c *Controller) serviceNext() {
 	}
 
 	if c.histAccess != nil {
-		c.histAccess.Observe(uint64(float64(dataEnd-rwAt) / CyclesPerNano))
+		c.histAccess.Observe(accessNs(dataEnd - rwAt))
 	}
-	if c.o.Active() {
-		c.o.Emit(obs.Event{Now: rwAt, Stage: obs.StageDRAM, Pos: obs.PosIssue,
-			Write: p.write, Comp: c.comp, Addr: p.addr, Arg: uint64(dataEnd - rwAt)})
+	if o := c.cfg.Obs; o.Active() {
+		o.Emit(obs.Event{Now: rwAt, Stage: obs.StageDRAM, Pos: obs.PosIssue,
+			Write: p.write, Comp: c.cfg.ObsName, Addr: p.addr, Arg: uint64(dataEnd - rwAt)})
 	}
 
-	if len(c.serviced) == cap(c.serviced) && c.servicedHead > 0 {
-		n := copy(c.serviced, c.serviced[c.servicedHead:])
-		clear(c.serviced[n:])
-		c.serviced, c.servicedHead = c.serviced[:n], 0
+	if p.done == nil {
+		// Nothing waits on this access: a ctrlComplete would only end it.
+		c.passive.Push(dataEnd)
+	} else {
+		if len(c.serviced) == cap(c.serviced) && c.servicedHead > 0 {
+			n := copy(c.serviced, c.serviced[c.servicedHead:])
+			clear(c.serviced[n:])
+			c.serviced, c.servicedHead = c.serviced[:n], 0
+		}
+		c.serviced = append(c.serviced, completion{p.done, p.arg})
+		c.eng.ScheduleFn(dataEnd, ctrlComplete, c)
 	}
-	c.serviced = append(c.serviced, completion{p.done, p.arg})
-	c.eng.ScheduleFn(dataEnd, ctrlComplete, c)
 
 	// Next request may begin scheduling once this one's column command has
 	// issued — that is where command-bus serialization bites.
@@ -461,6 +471,25 @@ func (c *Controller) serviceNext() {
 		return
 	}
 	c.eng.ScheduleFn(next, ctrlServiceNext, c)
+}
+
+// dataNs holds the access_ns sample of every access time under 128 cycles:
+// the time in whole nanoseconds. An access's time, from its column command
+// to its data end, depends only on its shape (tCL or tWL plus its bursts),
+// so every shape the model issues finds its sample here.
+var dataNs = func() (t [128]uint64) {
+	for c := range t {
+		t[c] = uint64(float64(c) / CyclesPerNano)
+	}
+	return t
+}()
+
+// accessNs returns the access_ns sample of an access that took c cycles.
+func accessNs(c sim.Cycle) uint64 {
+	if c < sim.Cycle(len(dataNs)) {
+		return dataNs[c]
+	}
+	return uint64(float64(c) / CyclesPerNano)
 }
 
 func (c *Controller) emit(cmd Cmd) {

@@ -6,6 +6,9 @@
 package media
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -83,6 +86,12 @@ type XPoint struct {
 
 	readCycles  sim.Cycle
 	writeCycles sim.Cycle
+	// readNs and writeNs are the service times the latency histograms
+	// record: an access's service time depends only on its kind.
+	readNs, writeNs uint64
+	// blockShift and wearShift are log2 of BlockSize and WearBlock, which
+	// New checks are powers of two, as it checks Partitions.
+	blockShift, wearShift uint8
 
 	// partFree[i] is the earliest cycle partition i can begin a new access.
 	partFree []sim.Cycle
@@ -112,7 +121,9 @@ type XPoint struct {
 	histWrite *obs.Histogram
 }
 
-// New returns a media model on eng.
+// New returns a media model on eng. It panics unless BlockSize, Partitions
+// and WearBlock are powers of two, since every access maps its address with
+// shifts and masks; Capacity may be any size.
 func New(eng *sim.Engine, cfg Config) *XPoint {
 	def := DefaultConfig()
 	if cfg.BlockSize == 0 {
@@ -139,18 +150,23 @@ func New(eng *sim.Engine, cfg Config) *XPoint {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = def.Capacity
 	}
+	log2("partition count", uint64(cfg.Partitions))
 	wearBlocks := (cfg.Capacity + cfg.WearBlock - 1) / cfg.WearBlock
 	x := &XPoint{
 		eng:         eng,
 		cfg:         cfg,
 		readCycles:  dram.NsToCycles(cfg.ReadNs),
 		writeCycles: dram.NsToCycles(cfg.WriteNs),
+		blockShift:  log2("block size", cfg.BlockSize),
+		wearShift:   log2("wear block", cfg.WearBlock),
 		partFree:    make([]sim.Cycle, cfg.Partitions),
 		readFree:    make([]sim.Cycle, cfg.ReadPorts),
 		writeFree:   make([]sim.Cycle, cfg.WritePorts),
 		wear:        newPagedU64(wearBlocks),
 		wearAt:      newPagedU64(wearBlocks),
 	}
+	x.readNs = uint64(float64(x.readCycles) / dram.CyclesPerNano)
+	x.writeNs = uint64(float64(x.writeCycles) / dram.CyclesPerNano)
 	if cfg.Functional {
 		x.data = newPagedData(cfg.BlockSize, cfg.Capacity)
 	}
@@ -176,9 +192,27 @@ func (x *XPoint) Config() Config { return x.cfg }
 // Stats returns a copy of the counters.
 func (x *XPoint) Stats() Stats { return x.stats }
 
+// log2 returns the base-2 logarithm of n, panicking, with what n is, unless
+// n is a power of two.
+func log2(what string, n uint64) uint8 {
+	if n == 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("media: %s %d is not a power of two", what, n))
+	}
+	return uint8(bits.TrailingZeros64(n))
+}
+
 // partition maps a media address to its bank.
 func (x *XPoint) partition(addr uint64) int {
-	return int((addr / x.cfg.BlockSize) % uint64(x.cfg.Partitions))
+	return int(addr >> x.blockShift & uint64(x.cfg.Partitions-1))
+}
+
+// wrap folds addr onto the media. Only an address off the media pays for
+// the division; one on it, the common case, costs a compare.
+func (x *XPoint) wrap(addr uint64) uint64 {
+	if addr >= x.cfg.Capacity {
+		addr %= x.cfg.Capacity
+	}
+	return addr
 }
 
 // Access times one demand block access at addr (media address). done, if
@@ -197,7 +231,7 @@ func (x *XPoint) AccessBG(addr uint64, write bool, done func(any), arg any) sim.
 }
 
 func (x *XPoint) access(addr uint64, write, background bool, done func(any), arg any) sim.Cycle {
-	addr = addr % x.cfg.Capacity
+	addr = x.wrap(addr)
 	p := x.partition(addr)
 	start := x.eng.Now()
 	if x.partFree[p] > start {
@@ -246,11 +280,9 @@ func (x *XPoint) access(addr uint64, write, background bool, done func(any), arg
 	// issue/complete lifecycle events (and their closure) only while a
 	// tracer is active, so the unobserved path stays allocation-free.
 	if write {
-		if x.histWrite != nil {
-			x.histWrite.Observe(uint64(float64(end-start) / dram.CyclesPerNano))
-		}
-	} else if x.histRead != nil {
-		x.histRead.Observe(uint64(float64(end-start) / dram.CyclesPerNano))
+		x.histWrite.Observe(x.writeNs)
+	} else {
+		x.histRead.Observe(x.readNs)
 	}
 	if x.o.Active() {
 		x.o.Emit(obs.Event{Now: start, Stage: obs.StageMedia, Pos: obs.PosIssue,
@@ -267,7 +299,7 @@ func (x *XPoint) access(addr uint64, write, background bool, done func(any), arg
 }
 
 // wearIdx returns the wear-block number containing addr.
-func (x *XPoint) wearIdx(addr uint64) uint64 { return addr / x.cfg.WearBlock }
+func (x *XPoint) wearIdx(addr uint64) uint64 { return addr >> x.wearShift }
 
 // decayedWear returns wear block blk's counter after applying any pending
 // exponential decay (one halving per elapsed WearDecayCycles window).
@@ -287,13 +319,13 @@ func (x *XPoint) decayedWear(blk uint64) uint64 {
 // WearCount returns the write count of the wear block containing addr since
 // its last reset, after decay.
 func (x *XPoint) WearCount(addr uint64) uint64 {
-	return x.decayedWear(x.wearIdx(addr % x.cfg.Capacity))
+	return x.decayedWear(x.wearIdx(x.wrap(addr)))
 }
 
 // ResetWear clears the wear counter of the block containing addr (called by
 // the wear-leveler after migrating the block).
 func (x *XPoint) ResetWear(addr uint64) {
-	blk := x.wearIdx(addr % x.cfg.Capacity)
+	blk := x.wearIdx(x.wrap(addr))
 	x.wear.set(blk, 0)
 	x.wearAt.set(blk, 0)
 }

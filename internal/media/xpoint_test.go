@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dram"
 	"repro/internal/sim"
 )
 
@@ -203,4 +204,58 @@ func TestPartitionSerializationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAddrHelpersMatchDivision checks the shift-and-mask partition and
+// wear-block maps, and the fold onto a media of any size, against the
+// division formulas they replaced, over random 64-bit addresses and random
+// addresses on the media, for the paper's media and the other-NVRAM
+// flavors' blocks, at a capacity that is a power of two and one that is
+// not. The service times the histograms record are the division's too.
+func TestAddrHelpersMatchDivision(t *testing.T) {
+	for _, block := range []uint64{256, 512, 1024} {
+		for _, capacity := range []uint64{64 << 20, 64<<20 - 5*4096 + 3} {
+			_, x := newTest(Config{BlockSize: block, Capacity: capacity})
+			c := x.Config()
+			rng := sim.NewRNG(9)
+			for i := 0; i < 20000; i++ {
+				addr := rng.Uint64()
+				if i%2 == 1 {
+					addr %= capacity
+				}
+				a := x.wrap(addr)
+				if a != addr%capacity {
+					t.Fatalf("capacity %d: wrap(%#x) = %#x, division %#x", capacity, addr, a, addr%capacity)
+				}
+				if got, want := x.partition(a), int(a/c.BlockSize%uint64(c.Partitions)); got != want {
+					t.Fatalf("block %d: partition(%#x) = %d, division %d", block, a, got, want)
+				}
+				if got, want := x.wearIdx(a), a/c.WearBlock; got != want {
+					t.Fatalf("wearIdx(%#x) = %d, division %d", a, got, want)
+				}
+			}
+			if x.readNs != uint64(float64(x.readCycles)/dram.CyclesPerNano) ||
+				x.writeNs != uint64(float64(x.writeCycles)/dram.CyclesPerNano) {
+				t.Fatalf("service times %d/%d ns, division %d/%d", x.readNs, x.writeNs,
+					uint64(float64(x.readCycles)/dram.CyclesPerNano), uint64(float64(x.writeCycles)/dram.CyclesPerNano))
+			}
+		}
+	}
+}
+
+// TestNonPowerOfTwoGeometryPanics: the partition and wear-block maps shift
+// and mask, so New refuses a block size, partition count or wear block that
+// is not a power of two. Capacity may be any size.
+func TestNonPowerOfTwoGeometryPanics(t *testing.T) {
+	for _, cfg := range []Config{{BlockSize: 384}, {Partitions: 6}, {WearBlock: 48 << 10}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %+v", cfg)
+				}
+			}()
+			newTest(cfg)
+		}()
+	}
+	newTest(Config{Capacity: 3 << 20})
 }

@@ -86,41 +86,52 @@ func (p *identPages) mapped() int {
 // is permuted by wear-leveling migrations, which swap whole 64KB wear blocks
 // (16 consecutive pages) so the mapping stays a bijection by construction.
 type Translator struct {
-	pageSize uint64
-	capacity uint64 // media capacity in bytes
-	fwd      *identPages
-	rev      *identPages
+	// pageShift is log2 of the page size, which NewTranslator checks is a
+	// power of two; pages counts the pages on the media, whose capacity
+	// may be any size.
+	pageShift uint8
+	pages     uint64
+	fwd       *identPages
+	rev       *identPages
 }
 
 // NewTranslator returns an identity translator over capacity bytes with the
-// given page size.
+// given page size. It panics unless pageSize is a power of two.
 func NewTranslator(pageSize, capacity uint64) *Translator {
 	n := capacity / pageSize
 	return &Translator{
-		pageSize: pageSize,
-		capacity: capacity,
-		fwd:      newIdentPages(n),
-		rev:      newIdentPages(n),
+		pageShift: log2("AIT page size", pageSize),
+		pages:     n,
+		fwd:       newIdentPages(n),
+		rev:       newIdentPages(n),
 	}
 }
 
-// pages returns the number of pages on the media.
-func (t *Translator) pages() uint64 { return t.capacity / t.pageSize }
+// pageSize returns the translation granularity in bytes.
+func (t *Translator) pageSize() uint64 { return 1 << t.pageShift }
+
+// wrap folds a page or frame number onto the media. Only a number off the
+// media pays for the division; one on it, the common case, costs a compare.
+func (t *Translator) wrap(page uint64) uint64 {
+	if page >= t.pages {
+		page %= t.pages
+	}
+	return page
+}
 
 // Translate maps a CPU page number to its media frame number.
 func (t *Translator) Translate(page uint64) uint64 {
-	return t.fwd.get(page % t.pages())
+	return t.fwd.get(t.wrap(page))
 }
 
 // Reverse maps a media frame number back to its CPU page number.
 func (t *Translator) Reverse(frame uint64) uint64 {
-	return t.rev.get(frame % t.pages())
+	return t.rev.get(t.wrap(frame))
 }
 
 // ToMedia converts a CPU byte address to a media byte address.
 func (t *Translator) ToMedia(addr uint64) uint64 {
-	page := addr / t.pageSize
-	return t.Translate(page)*t.pageSize + addr%t.pageSize
+	return t.Translate(addr>>t.pageShift)<<t.pageShift | addr&(t.pageSize()-1)
 }
 
 // AdoptFrom copies another translator's mapping into this one. The AIT
@@ -133,8 +144,7 @@ func (t *Translator) AdoptFrom(old *Translator) {
 
 // SwapPages exchanges the frames of two CPU pages, preserving bijectivity.
 func (t *Translator) SwapPages(pa, pb uint64) {
-	n := t.pages()
-	pa, pb = pa%n, pb%n
+	pa, pb = t.wrap(pa), t.wrap(pb)
 	fa, fb := t.Translate(pa), t.Translate(pb)
 	t.fwd.set(pa, fb)
 	t.rev.set(fb, pa)
@@ -172,7 +182,8 @@ type AITBuffer struct {
 }
 
 // NewAITBuffer returns a buffer of entries lines (entries/ways sets) with
-// lineSize/sectorSize sectors per line.
+// lineSize/sectorSize sectors per line. It panics unless the set count is a
+// power of two, since a page picks its set with a mask.
 func NewAITBuffer(entries, ways int, lineSize, sectorSize uint64) *AITBuffer {
 	if ways <= 0 {
 		ways = 16
@@ -181,6 +192,7 @@ func NewAITBuffer(entries, ways int, lineSize, sectorSize uint64) *AITBuffer {
 	if numSets == 0 {
 		numSets = 1
 	}
+	log2("AIT set count", uint64(numSets))
 	return &AITBuffer{lines: make([]aitLine, numSets*ways), numSets: numSets, ways: ways,
 		sectors: int(lineSize / sectorSize)}
 }
@@ -191,7 +203,7 @@ func (b *AITBuffer) Misses() uint64       { return b.misses }
 func (b *AITBuffer) SectorMisses() uint64 { return b.sectorMiss }
 
 func (b *AITBuffer) set(page uint64) []aitLine {
-	base := int(page%uint64(b.numSets)) * b.ways
+	base := int(page&uint64(b.numSets-1)) * b.ways
 	return b.lines[base : base+b.ways]
 }
 

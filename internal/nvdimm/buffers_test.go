@@ -210,7 +210,7 @@ func TestTranslatorBijectionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		tr := NewTranslator(4096, 1<<22) // 1024 pages
-		n := tr.pages()
+		n := tr.pages
 		for i := 0; i < 200; i++ {
 			tr.SwapPages(rng.Uint64n(n), rng.Uint64n(n))
 		}

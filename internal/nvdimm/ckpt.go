@@ -19,7 +19,7 @@ import (
 // SaveState serializes the LSQ: live entries oldest-first as (line, enq),
 // then merges and accepts.
 func (q *LSQ) SaveState(enc *ckpt.Enc) {
-	enc.U32(uint32(q.live))
+	enc.U32(uint32(q.Len()))
 	for _, s := range q.order {
 		if s.line != lsqTombstone {
 			enc.U64(s.line)
@@ -40,8 +40,7 @@ func (q *LSQ) LoadState(dec *ckpt.Dec) error {
 		return fmt.Errorf("%w: %d LSQ entries, capacity %d", ckpt.ErrCorrupt, n, q.maxSlots)
 	}
 	q.slots.Clear()
-	q.order = q.order[:0]
-	q.live = n
+	q.order, q.head = q.order[:0], 0
 	q.haveRefused = false
 	for i := 0; i < n; i++ {
 		line := dec.U64()

@@ -8,6 +8,9 @@
 package nvdimm
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/media"
@@ -224,4 +227,14 @@ func maxC(a, b sim.Cycle) sim.Cycle {
 		return a
 	}
 	return b
+}
+
+// log2 returns the base-2 logarithm of n. It panics, naming what n is,
+// unless n is a power of two: the per-access address helpers use shifts
+// and masks.
+func log2(what string, n uint64) uint8 {
+	if n == 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("nvdimm: %s %d is not a power of two", what, n))
+	}
+	return uint8(bits.TrailingZeros64(n))
 }

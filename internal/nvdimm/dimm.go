@@ -52,6 +52,12 @@ type DIMM struct {
 	// rmwFree serializes the RMW buffer port.
 	rmwFree sim.Cycle
 
+	// lineShift and sectorShift are log2 of the AIT line and the 256B
+	// sector (RMWBlock), which New checks are powers of two, as it checks
+	// AITEntries: the address helpers below shift and mask. They share
+	// draining's word.
+	lineShift, sectorShift uint8
+
 	// draining marks the LSQ drain engine as scheduled; drain is its parked
 	// poll (see drainStep).
 	draining bool
@@ -104,9 +110,13 @@ const (
 )
 
 // New constructs a DIMM on eng with cfg (zero fields defaulted) and a
-// deterministic seed for wear-leveling partner selection.
+// deterministic seed for wear-leveling partner selection. It panics unless
+// the AIT line, the RMW block, the AIT entry count, the LSQ combine block
+// and the media's block, partition count and wear block are powers of two;
+// every configuration the simulator builds has them so.
 func New(eng *sim.Engine, cfg Config, seed uint64) *DIMM {
 	cfg = cfg.withDefaults()
+	log2("AIT entry count", uint64(cfg.AITEntries))
 	cfg.Media.Functional = cfg.Media.Functional || cfg.Functional
 	comp := cfg.ObsName
 	if comp == "" {
@@ -133,6 +143,7 @@ func New(eng *sim.Engine, cfg Config, seed uint64) *DIMM {
 		dramC: dram.NewController(eng, cfg.DRAM),
 		inj:   cfg.Injector,
 	}
+	d.lineShift, d.sectorShift = log2("AIT line", cfg.AITLine), log2("RMW block", cfg.RMWBlock)
 	d.wear = NewWearLeveler(eng, med, trans, cfg.WearThreshold, cyc.migration, seed)
 	d.drain.Init(eng, cyc.lsqEpoch, dimmDrainStep, d)
 	if cfg.Obs != nil {
@@ -201,14 +212,14 @@ func (d *DIMM) Busy() bool {
 }
 
 // block aligns an address to the DIMM-internal 256B granularity.
-func (d *DIMM) block(addr uint64) uint64 { return addr - addr%d.cfg.RMWBlock }
+func (d *DIMM) block(addr uint64) uint64 { return addr &^ (d.cfg.RMWBlock - 1) }
 
 // page returns the AIT page number of an address.
-func (d *DIMM) page(addr uint64) uint64 { return addr / d.cfg.AITLine }
+func (d *DIMM) page(addr uint64) uint64 { return addr >> d.lineShift }
 
 // sector returns the 256B sector index of addr within its AIT line.
 func (d *DIMM) sector(addr uint64) int {
-	return int(addr % d.cfg.AITLine / d.cfg.RMWBlock)
+	return int((addr & (d.cfg.AITLine - 1)) >> d.sectorShift)
 }
 
 // tableAddr returns the on-DIMM DRAM address of a page's AIT entry.
@@ -217,8 +228,8 @@ func (d *DIMM) tableAddr(page uint64) uint64 { return tableBase + page*tableEntr
 // dataAddr returns the on-DIMM DRAM address of a sector's buffered data.
 // Lines are direct-placed by page so related sectors stay row-local.
 func (d *DIMM) dataAddr(page uint64, sector int) uint64 {
-	idx := page % uint64(d.cfg.AITEntries)
-	return dataBase + idx*d.cfg.AITLine + uint64(sector)*d.cfg.RMWBlock
+	idx := page & uint64(d.cfg.AITEntries-1)
+	return dataBase + idx<<d.lineShift + uint64(sector)<<d.sectorShift
 }
 
 // dramRetry is a DRAM access waiting out controller backpressure.

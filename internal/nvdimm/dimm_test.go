@@ -218,7 +218,7 @@ func TestTranslationStaysBijectiveUnderMigrations(t *testing.T) {
 	}
 	tr := sys.D.Translator()
 	seen := make(map[uint64]bool)
-	n := tr.pages()
+	n := tr.pages
 	for p := uint64(0); p < n; p++ {
 		f := tr.Translate(p)
 		if seen[f] {

@@ -16,9 +16,11 @@ type lsqSlot struct {
 // operations — the write-combining behavior the paper attributes to the LSQ.
 // The iMC's write pending queue is an LSQ too.
 type LSQ struct {
-	slots    sim.KeyIndex // line -> index into order
-	order    []lsqSlot    // FIFO by enqueue; holes marked line==tombstone
-	live     int
+	slots sim.KeyIndex // line -> index into order, for every live entry
+	order []lsqSlot    // FIFO by enqueue; holes marked line==tombstone
+	// head indexes the oldest live entry of order (len(order) when none
+	// is live): everything before it is a tombstone.
+	head     int
 	maxSlots int
 	combine  uint64
 
@@ -36,21 +38,22 @@ type LSQ struct {
 const lsqTombstone = ^uint64(0)
 
 // NewLSQ returns an LSQ with maxSlots 64B entries combining at combine-byte
-// blocks.
+// blocks. It panics unless combine is a power of two.
 func NewLSQ(maxSlots int, combine uint64) *LSQ {
+	log2("LSQ combine block", combine)
 	q := &LSQ{maxSlots: maxSlots, combine: combine}
 	q.slots.Init(maxSlots)
 	return q
 }
 
 // Len returns the live entry count.
-func (q *LSQ) Len() int { return q.live }
+func (q *LSQ) Len() int { return q.slots.Len() }
 
 // Full reports whether no new distinct line can be accepted.
-func (q *LSQ) Full() bool { return q.live >= q.maxSlots }
+func (q *LSQ) Full() bool { return q.Len() >= q.maxSlots }
 
 // Empty reports whether the queue holds no entries.
-func (q *LSQ) Empty() bool { return q.live == 0 }
+func (q *LSQ) Empty() bool { return q.Len() == 0 }
 
 // Merges returns how many accepts merged into an existing slot.
 func (q *LSQ) Merges() uint64 { return q.merges }
@@ -92,7 +95,6 @@ func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
 	}
 	q.slots.Set(line, int32(len(q.order)))
 	q.order = append(q.order, lsqSlot{line: line, enq: now})
-	q.live++
 	q.accepts++
 	q.compact()
 	return false, true
@@ -101,24 +103,24 @@ func (q *LSQ) Accept(line uint64, now sim.Cycle) (merged, accepted bool) {
 // compact drops tombstones in place once they outnumber live entries,
 // keeping drain scans O(live) without reallocating the order slice.
 func (q *LSQ) compact() {
-	if len(q.order) < 2*q.live+8 {
+	if len(q.order) < 2*q.Len()+8 {
 		return
 	}
 	n := 0
-	for _, s := range q.order {
+	for _, s := range q.order[q.head:] {
 		if s.line != lsqTombstone {
 			q.slots.Set(s.line, int32(n))
 			q.order[n] = s
 			n++
 		}
 	}
-	q.order = q.order[:n]
+	q.order, q.head = q.order[:n], 0
 }
 
 // OldestAge returns now minus the enqueue time of the oldest live entry
 // (0 when empty).
 func (q *LSQ) OldestAge(now sim.Cycle) sim.Cycle {
-	if enq := q.OldestEnq(); q.live > 0 && now > enq {
+	if enq := q.OldestEnq(); !q.Empty() && now > enq {
 		return now - enq
 	}
 	return 0
@@ -127,12 +129,10 @@ func (q *LSQ) OldestAge(now sim.Cycle) sim.Cycle {
 // OldestEnq returns the enqueue cycle of the oldest live entry, the one
 // OldestAge measures (0 when empty).
 func (q *LSQ) OldestEnq() sim.Cycle {
-	for _, s := range q.order {
-		if s.line != lsqTombstone {
-			return s.enq
-		}
+	if q.Empty() {
+		return 0
 	}
-	return 0
+	return q.order[q.head].enq
 }
 
 // Group is one drained write-combining group: a combine-block-aligned
@@ -165,25 +165,23 @@ func (g Group) Complete(blockBytes uint64) bool {
 // PopGroup removes and returns the oldest entry together with every other
 // entry in its combine block. ok is false when empty.
 func (q *LSQ) PopGroup() (Group, bool) {
-	var oldest *lsqSlot
-	for i := range q.order {
-		if q.order[i].line != lsqTombstone {
-			oldest = &q.order[i]
-			break
-		}
-	}
-	if oldest == nil {
+	if q.Empty() {
 		return Group{}, false
 	}
 	q.haveRefused = false
-	block := oldest.line - oldest.line%q.combine
+	oldest := &q.order[q.head]
+	block := oldest.line &^ (q.combine - 1)
 	g := Group{Block: block, Enq: oldest.enq}
 	for l := block; l < block+q.combine; l += 64 {
 		if i, ok := q.slots.Delete(l); ok {
 			g.Mask |= 1 << ((l - block) / 64)
 			q.order[i].line = lsqTombstone
-			q.live--
 		}
+	}
+	// The group took the oldest entry, so the head moves past it and the
+	// tombstones behind it.
+	for q.head < len(q.order) && q.order[q.head].line == lsqTombstone {
+		q.head++
 	}
 	return g, true
 }

@@ -56,7 +56,7 @@ func NewWearLeveler(eng *sim.Engine, med *media.XPoint, trans *Translator,
 		threshold: threshold,
 		stall:     stall,
 		wearBlock: med.Config().WearBlock,
-		pageSize:  trans.pageSize,
+		pageSize:  trans.pageSize(),
 		rng:       sim.NewRNG(seed),
 		busyUntil: make(map[uint64]sim.Cycle),
 	}
@@ -68,9 +68,10 @@ func (w *WearLeveler) Migrations() uint64 { return w.migrations }
 // Events returns the recorded migrations (owned by the leveler).
 func (w *WearLeveler) Events() []MigrationEvent { return w.events }
 
-// block returns the wear-block base of a media address.
+// block returns the wear-block base of a media address. The wear block is
+// a power of two (media.New checks it).
 func (w *WearLeveler) block(mediaAddr uint64) uint64 {
-	return mediaAddr - mediaAddr%w.wearBlock
+	return mediaAddr &^ (w.wearBlock - 1)
 }
 
 // BusyUntil returns the cycle until which accesses to the wear block

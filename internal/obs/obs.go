@@ -326,12 +326,17 @@ func (o *Obs) Histogram(comp, name string, bounds []uint64) *Histogram {
 	return h
 }
 
-// Observe records one sample. Nil-safe.
+// Observe records one sample. Nil-safe. The bucket is the first whose
+// bound is at least v, found by a scan from the lowest: simulated latencies
+// land in the first few buckets, where the scan beats a binary search.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
 	h.counts[i]++
 	h.count++
 	h.sum += v

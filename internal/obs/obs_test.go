@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
@@ -106,6 +107,32 @@ func TestRegistryDumpAggregatesFamily(t *testing.T) {
 		if d.Counters[i-1].Name >= d.Counters[i].Name {
 			t.Fatalf("dump counters not sorted: %q before %q",
 				d.Counters[i-1].Name, d.Counters[i].Name)
+		}
+	}
+}
+
+// TestObserveBucketMatchesSearch: Observe scans the bounds from the lowest;
+// it must pick the bucket a binary search picks (the first bound at least
+// the value, else the overflow bucket) for every value: each bound, its
+// neighbours, and random values of every magnitude.
+func TestObserveBucketMatchesSearch(t *testing.T) {
+	for _, bounds := range [][]uint64{DefaultLatencyBounds(), ExpBounds(1, 10), {5, 5, 9}, nil} {
+		var vals []uint64
+		for _, b := range bounds {
+			vals = append(vals, b-1, b, b+1)
+		}
+		rng := sim.NewRNG(3)
+		for i := 0; i < 2000; i++ {
+			vals = append(vals, rng.Uint64()>>rng.Uint64n(64))
+		}
+		vals = append(vals, 0, ^uint64(0))
+		for _, v := range vals {
+			h := NewHistogram(bounds)
+			h.Observe(v)
+			want := sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] })
+			if h.Counts()[want] != 1 {
+				t.Fatalf("bounds %v: %d landed in buckets %v, want bucket %d", bounds, v, h.Counts(), want)
+			}
 		}
 	}
 }

@@ -15,14 +15,14 @@ const pendingRecordBytes = 8 + 8 + 8 + 4
 
 // SaveState serializes an idle engine: the clock (now, seq), the execution
 // counters (fired, peak pending), and a pending-event count of 0. A pending
-// event or a parked poll is a callback with no identity outside this
-// process, so saving one is an error; the vans and optane drivers cut
-// checkpoints at engine-idle barriers, where the queue is empty and no
-// poll is parked.
+// event, a parked poll or a lane slot stands for a callback with no
+// identity outside this process, so saving one is an error; the vans
+// driver cuts checkpoints at engine-idle barriers, where the queue is
+// empty, no poll is parked and every slot has been passed.
 func (e *Engine) SaveState(enc *ckpt.Enc) error {
-	if len(e.parked) > 0 {
-		return fmt.Errorf("sim: %d parked polls (next tick at cycle %d) cannot be checkpointed; cut at an idle engine",
-			len(e.parked), e.parkAt)
+	if len(e.parked) > 0 || e.laneN > 0 {
+		return fmt.Errorf("sim: %d parked polls and %d lane slots (the first at cycle %d) cannot be checkpointed; cut at an idle engine",
+			len(e.parked), e.laneN, e.passAt)
 	}
 	if e.Pending() > 0 {
 		at, _ := e.NextAt()
@@ -53,6 +53,11 @@ func (e *Engine) LoadState(dec *ckpt.Dec) error {
 	}
 	for _, p := range e.parked {
 		p.idx = 0
+	}
+	for l := e.lanes; l != nil; {
+		next := l.next
+		l.slots, l.head, l.next = l.slots[:0], 0, nil
+		l = next
 	}
 	*e = Engine{now: now, seq: seq, fired: fired, peak: peak}
 	return nil

@@ -71,8 +71,9 @@ type node struct {
 // (at, seq) order of the ring's earliest event and the heap top. Every
 // event carries a globally increasing sequence number, and the dispatcher
 // always fires the least (at, seq) event next, one at a time. Parked polls
-// (see Poll) sit beside both: their ticks hold (at, seq) slots in the same
-// order but are passed, not fired, until due.
+// (see Poll) and lanes of passive slots (see Lane) sit beside both: their
+// ticks and slots hold (at, seq) places in the same order but are passed,
+// not fired (a parked tick until it is due).
 //
 // The zero value is ready to use. Engine is not safe for concurrent use; the
 // simulation model here is single-threaded by design (determinism first).
@@ -103,10 +104,14 @@ type Engine struct {
 	heap []event
 
 	// parked holds the polls whose next tick is parked (see Poll), in no
-	// particular order; parkAt is the earliest parked tick's cycle. Only an
-	// event at or after parkAt needs the parked set consulted.
+	// particular order, and lanes lists the lanes with unpassed slots (see
+	// Lane); laneN counts those slots. passAt is at most the earliest parked
+	// tick's or lane slot's cycle, so only an event at or after it needs the
+	// two consulted.
 	parked []*Poll
-	parkAt Cycle
+	lanes  *Lane
+	laneN  int
+	passAt Cycle
 }
 
 // NewEngine returns an engine starting at cycle 0.
@@ -120,9 +125,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not yet executed events. A
 // parked poll counts as the one pending event its re-arming callback would
-// hold.
+// hold, and an unpassed lane slot as the event it stands for.
 func (e *Engine) Pending() int {
-	return e.ringN + len(e.heap) + len(e.parked)
+	return e.ringN + len(e.heap) + len(e.parked) + e.laneN
 }
 
 // PeakPending returns the highest Pending() observed across the run — the
@@ -137,8 +142,8 @@ func (e *Engine) notePeak() {
 }
 
 // NextAt peeks at the timestamp of the earliest pending real event: a
-// queued event or the tick a parked poll is due to fire. ok is false when
-// there is none.
+// queued event or the tick a parked poll is due to fire, never a lane slot.
+// ok is false when there is none.
 func (e *Engine) NextAt() (Cycle, bool) {
 	at := Never
 	if ev, _ := e.head(); ev != nil {
@@ -207,21 +212,22 @@ func (e *Engine) head() (*event, int) {
 }
 
 // StepUntil fires the earliest real event if its cycle is at most limit,
-// first passing the parked ticks that precede it in (cycle, seq) order. It
-// reports false, firing nothing, when no real event is due by limit; every
-// parked tick at or before limit has then been passed, so the clock stands
-// at the last of them, where a poll that re-armed itself would have left
-// it. A power-fail cut at cycle c is therefore `for e.StepUntil(c) {}`.
-// With no limit and only parked polls that nothing will wake, it never
-// returns, as the re-arming callbacks they stand for would fire forever.
+// first passing the parked ticks and lane slots that precede it in (cycle,
+// seq) order. It reports false, firing nothing, when no real event is due
+// by limit; every parked tick and lane slot at or before limit has then
+// been passed, so the clock stands at the last of them, where the no-op
+// firing it stands for would have left it. A power-fail cut at cycle c is
+// therefore `for e.StepUntil(c) {}`. With no limit and only parked polls
+// that nothing will wake, it never returns, as the re-arming callbacks
+// they stand for would fire forever.
 //
-// The queue head is looked up once per call: passing a tick pushes and
-// pops nothing, and the clock it moves stays at or before the head. The
-// parked ticks before the stop pass in one loop (passParked).
+// The queue head is looked up once per call: passing a tick or a slot
+// pushes and pops nothing, and the clock it moves stays at or before the
+// head. The ticks and slots before the stop pass in one loop (passBefore).
 func (e *Engine) StepUntil(limit Cycle) bool {
 	ev, b := e.head()
-	if len(e.parked) > 0 && (ev == nil || ev.at >= e.parkAt) {
-		if p := e.passParked(ev, limit); p != nil {
+	if (len(e.parked) > 0 || e.lanes != nil) && (ev == nil || ev.at >= e.passAt) {
+		if p := e.passBefore(ev, limit); p != nil {
 			e.unpark(p)
 			e.now = p.at
 			e.fired++
@@ -248,10 +254,11 @@ func (e *Engine) StepUntil(limit Cycle) bool {
 }
 
 // Step executes the earliest pending real event, advancing time to it and
-// passing the parked ticks before it. It reports false, doing nothing, when
-// no events remain. Pump loops that must re-check model state after every
-// event (retrying a refused submission, waiting for a free slot) are built
-// on it; they skip parked ticks, which change no state a pump re-checks.
+// passing the parked ticks and lane slots before it. It reports false when
+// no real event remains, having passed every slot. Pump loops that must
+// re-check model state after every event (retrying a refused submission,
+// waiting for a free slot) are built on it; they skip parked ticks and
+// slots, which change no state a pump re-checks.
 func (e *Engine) Step() bool { return e.StepUntil(Never) }
 
 // Run executes events until the queue is empty.
@@ -261,9 +268,10 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamp <= deadline and passes every
-// parked tick at or before it, then sets Now to deadline if the simulation
-// has not already passed it. The caller acts at the deadline, so the
-// sequence numbers those ticks spend must already be spent.
+// parked tick and lane slot at or before it, then sets Now to deadline if
+// the simulation has not already passed it. The caller acts at the
+// deadline, so the sequence numbers those ticks spend must already be
+// spent.
 func (e *Engine) RunUntil(deadline Cycle) {
 	for e.StepUntil(deadline) {
 	}

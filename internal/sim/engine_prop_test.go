@@ -386,6 +386,11 @@ func (f pollForm) String() string {
 // with StepUntil the way mem.Driver.RunWindowUntil does, and finishes
 // with Run. Before each of the pump's steps on an engine, NextAt must name
 // the cycle that step fires at.
+//
+// Ordinary events and acting polls also push slots on two lanes, on the
+// cycles of ticks and events as often as between them, some in the past:
+// a literal no-op event in the re-arming forms, a Lane slot in the parked
+// form. The run must end with every slot passed.
 func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase bool) pollRun {
 	rng := rand.New(rand.NewSource(seed*7919 + 3))
 	in := func(n int) Cycle { return Cycle(rng.Intn(n * int(scale))) }
@@ -397,6 +402,30 @@ func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase
 	}
 	parked := form == pollParked
 	var run pollRun
+
+	var lanes [2]Lane
+	var laneLast [2]Cycle
+	noop := func() { run.passes++ }
+	for i := range lanes {
+		if parked {
+			lanes[i].Init(e, nil)
+		}
+	}
+	// slot pushes a slot on a random lane, no earlier than the lane's last.
+	slot := func() {
+		i := rng.Intn(len(lanes))
+		at := s.Now() + in(12)
+		if rng.Intn(4) == 0 {
+			at = s.Now() - min(s.Now(), in(6)) // in the past: clamped to now
+		}
+		at = max(at, laneLast[i])
+		laneLast[i] = max(at, s.Now())
+		if parked {
+			lanes[i].Push(at)
+		} else {
+			s.Schedule(at, noop)
+		}
+	}
 
 	n := 1 + rng.Intn(4)
 	type pollState struct {
@@ -436,6 +465,9 @@ func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase
 			run.firings = append(run.firings, firing{s.Now(), id})
 			if rng.Intn(3) == 0 {
 				tokens++
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				slot()
 			}
 			if depth < 2 && rng.Intn(3) == 0 {
 				nextID++
@@ -486,6 +518,9 @@ func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase
 		p.work = false
 		p.acts++
 		p.ticks = 0
+		if rng.Intn(2) == 0 {
+			slot()
+		}
 		if rng.Intn(2) == 0 {
 			nextID++
 			s.After(Cycle(rng.Intn(int(p.period[1]))), event(nextID, 1))
@@ -573,6 +608,10 @@ func pollScenario(t *testing.T, seed int64, form pollForm, scale Cycle, twoPhase
 		run.cuts = append(run.cuts, clockOf(s))
 	}
 	s.Run()
+	if parked && (lanes[0].Pending() != 0 || lanes[1].Pending() != 0 || e.Pending() != 0) {
+		t.Fatalf("seed %d: slots left after Run: lanes %d and %d, Pending %d",
+			seed, lanes[0].Pending(), lanes[1].Pending(), e.Pending())
+	}
 	run.finish(s)
 	return run
 }

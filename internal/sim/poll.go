@@ -76,8 +76,8 @@ func (p *Poll) Park(delay, due Cycle) {
 	p.passed = 0
 	e.parked = append(e.parked, p)
 	p.idx = len(e.parked)
-	if len(e.parked) == 1 || p.at < e.parkAt {
-		e.parkAt = p.at
+	if len(e.parked) == 1 && e.lanes == nil || p.at < e.passAt {
+		e.passAt = p.at
 	}
 	e.notePeak()
 }
@@ -129,18 +129,33 @@ func (e *Engine) earliestParked() *Poll {
 	return m
 }
 
-// passParked passes, in one loop, every parked tick that precedes the stop:
-// the queue head ev (nil when none), the first tick past limit, or the
-// first due tick, which it returns for the caller to fire. It returns nil
-// when it stops at ev or past limit. Each pass does what the re-arming
-// callback's no-op firing did: the clock reaches the tick, one sequence
-// number goes to the next tick, which lies the tick's period along. A pass
-// leaves Pending as it was (the re-arm's push followed its own pop), so it
-// cannot raise the peak, and parkAt is recomputed once, at the stop.
-func (e *Engine) passParked(ev *event, limit Cycle) *Poll {
+// passBefore passes, in one loop and in (cycle, seq) order, every parked
+// tick and lane slot that precedes the stop: the queue head ev (nil when
+// none), the first tick or slot past limit, or the first due tick, which
+// it returns for the caller to fire. It returns nil when it stops at ev or
+// past limit. A tick's pass does what the re-arming callback's no-op
+// firing did: the clock reaches the tick, one sequence number goes to the
+// next tick, which lies the tick's period along. A slot's pass moves the
+// clock to the slot and drops it; its sequence number was spent at Push.
+// A pass never raises Pending (the re-arm's push followed its own pop, and
+// a slot's event only popped), so it cannot raise the peak, and passAt is
+// recomputed once, at the stop.
+func (e *Engine) passBefore(ev *event, limit Cycle) *Poll {
 	for {
-		p := e.earliestParked()
-		if ev != nil && !p.before(ev) || p.at > limit {
+		var p *Poll
+		if len(e.parked) > 0 {
+			p = e.earliestParked()
+		}
+		if l := e.earliestLane(); l != nil {
+			if s := &l.slots[l.head]; p == nil || s.at < p.at || (s.at == p.at && s.seq < p.seq) {
+				if ev != nil && !s.before(ev) || s.at > limit {
+					break
+				}
+				e.passSlot(l)
+				continue
+			}
+		}
+		if p == nil || ev != nil && !p.before(ev) || p.at > limit {
 			break
 		}
 		if p.at >= p.due {
@@ -153,7 +168,7 @@ func (e *Engine) passParked(ev *event, limit Cycle) *Poll {
 		p.passed++
 		e.counts.pass(p)
 	}
-	e.setParkAt()
+	e.setPassAt()
 	return nil
 }
 
@@ -168,16 +183,17 @@ func (e *Engine) unpark(p *Poll) {
 	e.parked[last] = nil
 	e.parked = e.parked[:last]
 	p.idx = 0
-	e.setParkAt()
+	e.setPassAt()
 }
 
-// setParkAt recomputes the earliest parked tick's cycle.
-func (e *Engine) setParkAt() {
+// setPassAt recomputes the earliest parked tick's or lane slot's cycle.
+func (e *Engine) setPassAt() {
 	at := Never
 	for _, p := range e.parked {
-		if p.at < at {
-			at = p.at
-		}
+		at = min(at, p.at)
 	}
-	e.parkAt = at
+	for l := e.lanes; l != nil; l = l.next {
+		at = min(at, l.slots[l.head].at)
+	}
+	e.passAt = at
 }

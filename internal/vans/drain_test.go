@@ -12,8 +12,8 @@ import (
 // hits), a sequential non-temporal store stream with wear migrations, and a
 // Memory-mode chase through the near cache. At the end nothing may be left
 // anywhere: no pending event or parked poll, an idle iMC (its WPQ, RPQ and
-// every DIMM's LSQ), every on-DIMM DRAM controller drained (queue and
-// completion FIFO both, which inflight counts), the near cache's controller
+// every DIMM's LSQ), every on-DIMM DRAM controller drained (queue,
+// completion FIFO and lane of passive slots), the near cache's controller
 // too, and every request completed exactly once. A completion FIFO that
 // drops or repeats an entry fails it.
 func TestQueuesEmptyAtRunEnd(t *testing.T) {
@@ -47,8 +47,11 @@ func TestQueuesEmptyAtRunEnd(t *testing.T) {
 				if !d.DRAM().Drained() {
 					t.Fatalf("DIMM %d's on-DIMM DRAM controller is not drained", i)
 				}
+				if n := d.DRAM().PendingSlots(); n != 0 {
+					t.Fatalf("DIMM %d's on-DIMM DRAM controller has %d lane slots unpassed", i, n)
+				}
 			}
-			if s.cache != nil && !s.cache.dramC.Drained() {
+			if s.cache != nil && (!s.cache.dramC.Drained() || s.cache.dramC.PendingSlots() != 0) {
 				t.Fatal("the near cache's DRAM controller is not drained")
 			}
 			for id, n := range completed {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestEventCounts prints, for the job shapes perfbench's store-write and
-// chase-read workloads time, the events the engine fired per handler and
-// the ticks it passed per parked poll:
+// chase-read workloads time, the events the engine fired per handler, the
+// ticks it passed per parked poll and the slots it passed per lane:
 //
 //   - store-write: 4 MB of store-nt stores with wear threshold 50, a barrier
 //     every 4,096 stores and config seed 1, through a window of 10;
@@ -21,11 +21,15 @@ import (
 //
 // It builds only under the simcount tag, which compiles the counters into
 // the engine; `make event-counts` runs it. Each table's fired column must
-// sum to the engine's Fired().
+// sum to the engine's Fired(). A lane slot stands for an event that fired
+// and did nothing before lanes existed, so fired events plus passed slots
+// must equal the events each job fired then.
 func TestEventCounts(t *testing.T) {
 	jobs := []struct {
 		name string
 		run  func() (*System, int)
+		// events is what the job fired when every slot was an event.
+		events uint64
 	}{
 		{"store-write (4 MB store-nt, wear 50, a barrier every 4,096 stores, config seed 1)", func() (*System, int) {
 			cfg := DefaultConfig()
@@ -37,7 +41,7 @@ func TestEventCounts(t *testing.T) {
 			d.RunWindow(accs, 10)
 			d.Fence()
 			return s, len(accs)
-		}},
+		}, 353992},
 		{"chase (64 MB region, 20,000 steps, seed 1)", func() (*System, int) {
 			s := New(DefaultConfig())
 			d := mem.NewDriver(s)
@@ -45,16 +49,19 @@ func TestEventCounts(t *testing.T) {
 			d.RunWindow(accs, 1)
 			d.Fence()
 			return s, len(accs)
-		}},
+		}, 678991},
 	}
 	for _, job := range jobs {
 		s, n := job.run()
-		fired, passed := s.Engine().EventCounts()
+		fired, passed, slots := s.Engine().EventCounts()
 		fmt.Printf("%s: %d accesses\n", job.name, n)
 		if total := printCounts("fired events", fired, n); total != s.Engine().Fired() {
 			t.Errorf("%s: the handler counts sum to %d, Fired() is %d", job.name, total, s.Engine().Fired())
 		}
 		printCounts("passed ticks", passed, n)
+		if total := s.Engine().Fired() + printCounts("passed slots", slots, n); total != job.events {
+			t.Errorf("%s: %d fired events and passed slots, want %d", job.name, total, job.events)
+		}
 		fmt.Println()
 	}
 }
